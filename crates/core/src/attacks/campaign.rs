@@ -548,18 +548,13 @@ impl Scenario {
     /// heavyweight scenarios via [`Scenario::max_trials`].
     #[must_use]
     pub fn campaign(self, profile: &CpuProfile, config: CampaignConfig) -> CampaignRow {
-        let trials = config.trials.max(1);
-        let outcomes: Vec<TrialOutcome> = (0..trials)
-            .into_par_iter()
-            .map(|i| {
-                self.run_trial(
-                    profile,
-                    legacy_trial_seed(config.seed0, self.seed_salt(), i),
-                    config,
-                )
-            })
-            .collect();
-        self.aggregate(profile, config, outcomes, trials)
+        Cell {
+            scenario: self,
+            profile,
+            config,
+            pool: None,
+        }
+        .run()
     }
 
     /// [`Scenario::campaign`] against prebuilt fixtures: `fixtures[i]`
@@ -574,32 +569,27 @@ impl Scenario {
         config: CampaignConfig,
         fixtures: &[TrialFixture],
     ) -> CampaignRow {
-        let trials = fixtures.len() as u64;
-        let outcomes: Vec<TrialOutcome> = (0..fixtures.len())
-            .into_par_iter()
-            .map(|i| {
-                self.run_trial_with(
-                    profile,
-                    &fixtures[i],
-                    legacy_trial_seed(config.seed0, self.seed_salt(), i as u64),
-                    config,
-                )
-            })
-            .collect();
-        self.aggregate(profile, config, outcomes, trials.max(1))
+        Cell {
+            scenario: self,
+            profile,
+            config,
+            pool: Some(fixtures),
+        }
+        .run()
     }
 
+    /// Folds one cell's trial outcomes, in trial order, into its row.
     fn aggregate(
         self,
         profile: &CpuProfile,
         config: CampaignConfig,
-        outcomes: Vec<TrialOutcome>,
-        trials: u64,
+        outcomes: &[TrialOutcome],
     ) -> CampaignRow {
+        let trials = (outcomes.len() as u64).max(1);
         let mut accuracy = Trials::new();
         let (mut probing, mut total) = (0.0f64, 0.0f64);
         let (mut probes, mut addresses) = (0u64, 0u64);
-        for outcome in &outcomes {
+        for outcome in outcomes {
             probing += outcome.probing_seconds;
             total += outcome.total_seconds;
             probes += outcome.probes;
@@ -763,14 +753,22 @@ impl Campaign {
     /// `self.scenarios`.
     ///
     /// Trial layouts depend only on (scenario, seed), so each
-    /// scenario's victim systems are built **once** up front
-    /// (rayon-parallel) and every (noise, defense, profile) cell runs
-    /// against copy-on-write snapshots of that pool — the cells differ
-    /// only in the machine they wrap around the snapshot, not in the
-    /// layout. Defenses never touch the shared pool either: a defended
-    /// trial installs its defense on the trial's own machine, and a
-    /// re-randomizing victim re-randomizes its copy-on-write clone
-    /// (invariant 12).
+    /// scenario's victim systems are built **once** up front and every
+    /// (noise, defense, profile) cell runs against copy-on-write
+    /// snapshots of that pool — the cells differ only in the machine
+    /// they wrap around the snapshot, not in the layout. Defenses never
+    /// touch the shared pool either: a defended trial installs its
+    /// defense on the trial's own machine, and a re-randomizing victim
+    /// re-randomizes its copy-on-write clone (invariant 12).
+    ///
+    /// Both stages run as one grid-wide job list: every fixture of
+    /// every pool, then every (cell, trial) pair of the whole matrix,
+    /// each go through a single rayon pass whose workers claim the
+    /// next job as they free up, so a long Windows or cloud trial
+    /// never idles a core until its cell's other trials finish. Each
+    /// cell then folds its outcomes in trial order, so rows are
+    /// bit-identical to running the cells one by one
+    /// ([`Scenario::campaign_with`]).
     ///
     /// Heavyweight scenarios are bounded to [`Scenario::max_trials`]
     /// trials per cell (call [`Scenario::campaign`] directly for
@@ -783,28 +781,41 @@ impl Campaign {
         // One fixture pool per scenario, shared across the whole grid.
         // Scenarios no profile of this campaign supports produce no
         // rows, so their (expensive) fixtures are never built.
+        let pool_size = |scenario: Scenario| {
+            if self.profiles.iter().any(|p| scenario.supported_on(p)) {
+                self.config.trials.clamp(1, scenario.max_trials())
+            } else {
+                0
+            }
+        };
+        let builds: Vec<(Scenario, u64)> = self
+            .scenarios
+            .iter()
+            .flat_map(|&scenario| (0..pool_size(scenario)).map(move |i| (scenario, i)))
+            .collect();
+        let mut fixtures = builds
+            .into_par_iter()
+            .map(|(scenario, i)| {
+                scenario.build_fixture(legacy_trial_seed(
+                    self.config.seed0,
+                    scenario.seed_salt(),
+                    i,
+                ))
+            })
+            .collect::<Vec<TrialFixture>>()
+            .into_iter();
         let pools: Vec<Vec<TrialFixture>> = self
             .scenarios
             .iter()
             .map(|&scenario| {
-                if !self.profiles.iter().any(|p| scenario.supported_on(p)) {
-                    return Vec::new();
-                }
-                let trials = self.config.trials.clamp(1, scenario.max_trials());
-                (0..trials)
-                    .into_par_iter()
-                    .map(|i| {
-                        scenario.build_fixture(legacy_trial_seed(
-                            self.config.seed0,
-                            scenario.seed_salt(),
-                            i,
-                        ))
-                    })
+                fixtures
+                    .by_ref()
+                    .take(pool_size(scenario) as usize)
                     .collect()
             })
             .collect();
 
-        let mut rows = Vec::new();
+        let mut cells = Vec::new();
         for &noise in &self.noises {
             for &defense in &self.defenses {
                 for &schedule in &self.schedules {
@@ -816,25 +827,83 @@ impl Campaign {
                             schedule,
                             ..self.config
                         };
-                        if scenario == Scenario::Cloud {
-                            if let Some(profile) =
-                                self.profiles.iter().find(|p| scenario.supported_on(p))
-                            {
-                                rows.push(scenario.campaign_with(profile, config, pool));
-                            }
-                            continue;
-                        }
-                        for profile in &self.profiles {
-                            if scenario.supported_on(profile) {
-                                rows.push(scenario.campaign_with(profile, config, pool));
-                            }
-                        }
+                        let profiles = self.profiles.iter().filter(|p| scenario.supported_on(p));
+                        // Cloud presets pin their own host CPUs: one row.
+                        let rows = if scenario == Scenario::Cloud {
+                            1
+                        } else {
+                            usize::MAX
+                        };
+                        cells.extend(profiles.take(rows).map(|profile| Cell {
+                            scenario,
+                            profile,
+                            config,
+                            pool: Some(pool),
+                        }));
                     }
                 }
             }
         }
-        rows
+        run_cells(&cells)
     }
+}
+
+/// One campaign cell: a scenario's trials against one CPU profile under
+/// one configuration, aggregated into one row.
+struct Cell<'a> {
+    scenario: Scenario,
+    profile: &'a CpuProfile,
+    config: CampaignConfig,
+    /// Prebuilt fixtures, one per trial; without a pool each trial
+    /// builds its own victim system and the cell runs
+    /// `config.trials.max(1)` trials.
+    pool: Option<&'a [TrialFixture]>,
+}
+
+impl Cell<'_> {
+    fn trials(&self) -> u64 {
+        self.pool
+            .map_or(self.config.trials.max(1), |pool| pool.len() as u64)
+    }
+
+    fn run_trial(&self, i: u64) -> TrialOutcome {
+        let seed = legacy_trial_seed(self.config.seed0, self.scenario.seed_salt(), i);
+        match self.pool {
+            Some(pool) => {
+                self.scenario
+                    .run_trial_with(self.profile, &pool[i as usize], seed, self.config)
+            }
+            None => self.scenario.run_trial(self.profile, seed, self.config),
+        }
+    }
+
+    fn run(self) -> CampaignRow {
+        run_cells(&[self]).remove(0)
+    }
+}
+
+/// The campaign engine's one trial fan-out: every (cell, trial) pair
+/// runs in a single rayon pass, then each cell folds its own outcomes
+/// in trial order. A trial is a pure function of its cell and index, so
+/// the rows do not depend on which thread ran which trial.
+fn run_cells(cells: &[Cell<'_>]) -> Vec<CampaignRow> {
+    let jobs: Vec<(&Cell<'_>, u64)> = cells
+        .iter()
+        .flat_map(|cell| (0..cell.trials()).map(move |i| (cell, i)))
+        .collect();
+    let outcomes: Vec<TrialOutcome> = jobs
+        .into_par_iter()
+        .map(|(cell, i)| cell.run_trial(i))
+        .collect();
+    let mut rest = outcomes.as_slice();
+    cells
+        .iter()
+        .map(|cell| {
+            let (own, tail) = rest.split_at(cell.trials() as usize);
+            rest = tail;
+            cell.scenario.aggregate(cell.profile, cell.config, own)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

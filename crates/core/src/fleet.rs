@@ -524,8 +524,10 @@ impl Fleet {
         ] {
             h = splitmix64(h ^ word);
         }
+        // Defense and schedule are fieldless enums: the name is the
+        // whole value.
         let labels = format!(
-            "{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|{}|{}|{}|{}|{}",
             self.profile.model,
             self.campaign.noise,
             self.campaign.sampling.name(),
@@ -533,6 +535,8 @@ impl Fleet {
             self.campaign.observables.name(),
             self.campaign.confirm.is_some(),
             self.campaign.recal.is_some(),
+            self.campaign.defense.name(),
+            self.campaign.schedule.name(),
         );
         for byte in labels.bytes() {
             h = splitmix64(h ^ u64::from(byte));

@@ -8,7 +8,9 @@
 use std::path::PathBuf;
 
 use avx_channel::attacks::campaign::{CampaignConfig, Scenario, TrialOutcome};
+use avx_channel::defense::DefenseKind;
 use avx_channel::fleet::{splitmix64, victim_seed, Checkpoint, Fleet, FleetConfig, FleetReducer};
+use avx_channel::schedule::ScheduleKind;
 use avx_channel::stats::Trials;
 use avx_channel::KptiConfidence;
 use avx_uarch::CpuProfile;
@@ -214,6 +216,26 @@ fn checkpoint_recorded_under_a_different_config_is_refused() {
         err.contains("fingerprint") || err.contains("shards"),
         "{err}"
     );
+
+    // The checkpoint was recorded undefended and unscheduled; another
+    // defense or schedule would merge incompatible victim populations.
+    for campaign in [
+        CampaignConfig::default().with_defense(DefenseKind::MaskedTranslation),
+        CampaignConfig::default().with_schedule(ScheduleKind::ModuleChurn),
+    ] {
+        let err = Fleet::new(
+            Scenario::KernelBase,
+            CpuProfile::alder_lake_i5_12400f(),
+            campaign,
+            FleetConfig::new(40)
+                .with_pool(4)
+                .with_shards(4)
+                .with_checkpoint(&path),
+        )
+        .run()
+        .expect_err("victim-environment mismatch must be refused");
+        assert!(err.contains("fingerprint"), "{err}");
+    }
 
     let _ = std::fs::remove_file(&path);
 }

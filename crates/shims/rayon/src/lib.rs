@@ -4,14 +4,18 @@
 //! the slice of the rayon API its campaign engine uses:
 //! `into_par_iter()` over ranges, vectors and slices, followed by
 //! `.map(..).collect()`, `.for_each(..)`, `.sum()` or `.reduce(..)`.
-//! Work is split into per-thread chunks executed on
-//! [`std::thread::scope`] threads (one per available core), and results
-//! come back **in input order** — the same observable contract rayon's
-//! indexed parallel iterators give.
+//! Work is self-scheduled on [`std::thread::scope`] threads (one per
+//! available core): each worker claims the next unclaimed item as soon
+//! as it finishes its last one, so one slow item never idles the other
+//! cores behind a fixed share of the work. Results come back **in input
+//! order** — the same observable contract rayon's indexed parallel
+//! iterators give.
 
 #![deny(missing_docs)]
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Re-exports that make `use rayon::prelude::*` work.
 pub mod prelude {
@@ -27,8 +31,21 @@ fn thread_count(n: usize) -> usize {
         .max(1)
 }
 
+/// One item of a [`par_map`] job: its input until a worker claims it,
+/// then its result.
+enum Slot<T, R> {
+    Pending(T),
+    Running,
+    Done(R),
+}
+
 /// Ordered parallel map: applies `f` to every item on a thread pool and
 /// returns the results in input order.
+///
+/// Workers claim item indices one at a time from a shared counter, so
+/// the items are spread over the threads by their actual cost. A panic
+/// in `f` stops further claims and is re-raised on the caller's thread
+/// once every worker has returned.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -40,28 +57,46 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
+    // The slots are both the work list and the ordered result buffer.
+    // `f` runs with no slot locked, so a slot mutex is never poisoned.
+    let slots: Vec<Mutex<Slot<T, R>>> = items
+        .into_iter()
+        .map(|item| Mutex::new(Slot::Pending(item)))
+        .collect();
+    // The counter only hands out indices; the slot mutexes publish the
+    // items and results, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let Slot::Pending(item) =
+                std::mem::replace(&mut *slot.lock().expect("slot poisoned"), Slot::Running)
+            else {
+                unreachable!("par_map item claimed twice");
+            };
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))) {
+                Ok(result) => *slot.lock().expect("slot poisoned") = Slot::Done(result),
+                Err(payload) => {
+                    next.store(n, Ordering::Relaxed);
+                    std::panic::resume_unwind(payload);
+                }
+            }
         }
-        chunks.push(c);
-    }
-    let f = &f;
-    let per_chunk: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
-    per_chunk.into_iter().flatten().collect()
+    slots
+        .into_iter()
+        .map(|slot| match slot.into_inner().expect("slot poisoned") {
+            Slot::Done(result) => result,
+            Slot::Pending(_) | Slot::Running => unreachable!("par_map item never ran"),
+        })
+        .collect()
 }
 
 /// A materialized parallel iterator.
@@ -81,12 +116,6 @@ impl<T: Send> ParIter<T> {
     /// Runs `f` on every item in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
         par_map(self.items, f);
-    }
-
-    /// Rayon tuning hint — accepted and ignored.
-    #[must_use]
-    pub fn with_min_len(self, _min: usize) -> Self {
-        self
     }
 }
 
@@ -185,6 +214,9 @@ impl_into_par_iter_range_inclusive!(u32, u64, usize, i32, i64);
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn map_collect_preserves_order() {
@@ -236,5 +268,60 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert!(unique.len() > 1, "expected work on >1 thread");
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_items_after_it() {
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        // Item 0 keeps its thread busy until every other item has
+        // finished, so they can only finish on other threads. A fixed
+        // split would leave some of them queued behind item 0 and time
+        // the wait out.
+        let finished = (Mutex::new(0usize), Condvar::new());
+        let others = 64;
+        let results: Vec<(u64, ThreadId, bool)> = (0u64..=others as u64)
+            .into_par_iter()
+            .map(|i| {
+                let (count, all_done) = &finished;
+                let mut done = count.lock().unwrap();
+                let waited = if i == 0 {
+                    let (guard, timeout) = all_done
+                        .wait_timeout_while(done, Duration::from_secs(10), |d| *d < others)
+                        .unwrap();
+                    done = guard;
+                    !timeout.timed_out()
+                } else {
+                    *done += 1;
+                    all_done.notify_all();
+                    true
+                };
+                drop(done);
+                (i * i, std::thread::current().id(), waited)
+            })
+            .collect();
+        let squares: Vec<u64> = results.iter().map(|r| r.0).collect();
+        let expected: Vec<u64> = (0u64..=others as u64).map(|x| x * x).collect();
+        assert_eq!(squares, expected, "results out of input order");
+        assert!(results[0].2, "item 0 waited out its timeout");
+        let beside_item0 = results[1..].iter().filter(|r| r.1 != results[0].1).count();
+        assert_eq!(beside_item0, others, "items ran behind item 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "item 7 failed")]
+    fn a_panicking_item_propagates_its_panic() {
+        (0u64..32).into_par_iter().for_each(|i| {
+            assert!(i != 7, "item 7 failed");
+        });
+    }
+
+    #[test]
+    fn empty_and_single_item_inputs_work() {
+        let empty: Vec<u64> = Vec::<u64>::new().into_par_iter().map(|x| x + 1).collect();
+        assert!(empty.is_empty());
+        let single: Vec<u64> = vec![41u64].into_par_iter().map(|x| x + 1).collect();
+        assert_eq!(single, vec![42]);
     }
 }
