@@ -8,8 +8,8 @@
 //! [`avx_uarch::VictimSchedule`], the discrete-event scheduler the
 //! victim side of [`Machine`] owns. An installed schedule's events all
 //! route through existing chokepoints — noise swaps through the
-//! [`Machine::set_noise`] site, layout churn through the page-table
-//! `write_entry` path — so the closed-loop recalibrator sees them
+//! [`Machine::set_noise`] site, layout churn through the batched
+//! page-table writer — so the closed-loop recalibrator sees them
 //! through [`crate::recal::DriftMonitor::check`] alone (invariant 8:
 //! no new trigger sites).
 //!
@@ -26,7 +26,7 @@
 //! * [`ScheduleKind::ModuleChurn`] — mid-scan layout churn: kernel
 //!   modules load and unload in the module region and short-lived
 //!   processes spawn in user space, mutating the trial's own machine
-//!   clone through `write_entry`.
+//!   clone through the batched page-table writer.
 //!
 //! Installation is per-machine and per-trial, after the defense axis
 //! and before the first probe; the schedule's randomness is derived
@@ -152,7 +152,8 @@ impl ScheduleKind {
             ),
             // A 16-page module loads every 512 ops and unloads 256 ops
             // later (LIFO), with a small process image spawning on a
-            // slower period — steady-state churn through `write_entry`.
+            // slower period — steady-state churn through the batched
+            // page-table writer.
             ScheduleKind::ModuleChurn => Some(
                 VictimSchedule::new(DEFAULT_OPS_PER_TICK, sched_seed)
                     .with_base(base)

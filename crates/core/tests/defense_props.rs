@@ -17,7 +17,7 @@ use avx_channel::attacks::campaign::{CampaignConfig, CampaignRow, Scenario};
 use avx_channel::defense::{
     Defense, DefenseKind, DefenseRegion, Rerandomizing, DEFAULT_RERANDOMIZE_PERIOD,
 };
-use avx_channel::{AddrRange, KernelBaseFinder, Prober, SimProber, Threshold};
+use avx_channel::{AddrRange, KernelBaseFinder, Prober, ScheduleKind, SimProber, Threshold};
 use avx_mmu::VirtAddr;
 use avx_os::linux::{
     LinuxConfig, LinuxSystem, KASLR_ALIGN, KERNEL_SLOTS, KERNEL_TEXT_REGION_END,
@@ -125,6 +125,21 @@ fn rerandomizing_determinism_holds_under_v2_observables() {
     let first = Scenario::KernelBase.campaign(&profile(), config);
     let second = Scenario::KernelBase.campaign(&profile(), config);
     assert_rows_bit_identical(&first, &second, "rerandomizing v2 replay");
+}
+
+/// A module re-slide used to land on a module the victim's schedule had
+/// loaded and panic (`target slot free: AlreadyMapped`). It now re-draws
+/// a free slot (or stays put), so the combined cell completes and
+/// replays bit-identically from its seed.
+#[test]
+fn rerandomizing_under_module_churn_completes_deterministically() {
+    let config = CampaignConfig::new(200, 0)
+        .with_defense(DefenseKind::Rerandomizing)
+        .with_schedule(ScheduleKind::ModuleChurn);
+    let first = Scenario::KernelBase.campaign(&profile(), config);
+    let second = Scenario::KernelBase.campaign(&profile(), config);
+    assert_eq!(first.accuracy.total, 200);
+    assert_rows_bit_identical(&first, &second, "rerandomizing + module-churn replay");
 }
 
 // ---------------------------------------------------------------------

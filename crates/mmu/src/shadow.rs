@@ -498,6 +498,19 @@ fn build_table(
     let span = level.entry_span();
     chain[depth_idx] = table_id;
 
+    if level == Level::Pt {
+        // No PT slot descends, so all 512 merge into one run whatever
+        // they hold: emit it without reading them.
+        let table_span = span * ENTRIES_PER_TABLE as u64;
+        flush_run(
+            (va_prefix, va_prefix + (table_span - 1)),
+            depth_idx,
+            chain,
+            out,
+        );
+        return;
+    }
+
     let mut run: Option<(u64, u64)> = None; // (start, last) of a terminal run
     for idx in 0..ENTRIES_PER_TABLE {
         // Canonicalize: at the PML4 level bit 47 sign-extends.
@@ -505,12 +518,7 @@ fn build_table(
         let last = va + (span - 1);
         let entry = space.table(table_id).entry(idx);
 
-        let descends = entry.is_present()
-            && match level {
-                Level::Pt => false,
-                Level::Pml4 => true,
-                _ => !entry.is_huge_leaf(),
-            };
+        let descends = entry.is_present() && (level == Level::Pml4 || !entry.is_huge_leaf());
 
         if !descends {
             run = match run {

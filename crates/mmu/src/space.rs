@@ -1,5 +1,6 @@
 //! The four-level page-table address space.
 
+use core::cell::Cell;
 use core::fmt;
 use std::sync::Arc;
 
@@ -74,7 +75,8 @@ impl fmt::Display for PageSize {
     }
 }
 
-/// One leaf mapping, as yielded by [`AddressSpace::iter_regions`].
+/// One leaf mapping, as yielded by [`AddressSpace::iter_regions`] and
+/// taken by [`AddressSpace::map_pages`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MappedRegion {
     /// First virtual address of the page.
@@ -191,22 +193,20 @@ impl AddressSpace {
             .count()
     }
 
-    /// Writes `pte` into slot `idx` of table `id`, copy-on-write,
-    /// skipping the write (and the epoch bumps) when the slot already
-    /// holds exactly that raw value.
+    /// Writes `pte` into slot `idx` of table `id`: the one-entry case
+    /// of [`TableRun`], the batched writer every PTE change goes through.
     fn write_entry(&mut self, id: FrameId, idx: usize, pte: Pte) {
-        let old = self.tables[id.index()].entry(idx);
-        if old.raw() == pte.raw() {
-            return;
+        self.run(id).write(idx, pte);
+    }
+
+    /// Opens a write run on table `id` (see [`TableRun`]).
+    fn run(&mut self, id: FrameId) -> TableRun<'_> {
+        TableRun {
+            slot: Some(&mut self.tables[id.index()]),
+            table: None,
+            epoch: &mut self.epoch,
+            shape_epoch: &mut self.shape_epoch,
         }
-        self.epoch += 1;
-        if (old.raw() == 0) != (pte.raw() == 0)
-            || old.is_present() != pte.is_present()
-            || old.is_huge_leaf() != pte.is_huge_leaf()
-        {
-            self.shape_epoch += 1;
-        }
-        Arc::make_mut(&mut self.tables[id.index()]).set_entry(idx, pte);
     }
 
     /// The root (PML4) table id.
@@ -292,78 +292,12 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        if !va.is_aligned(size.bytes()) {
-            return Err(MmuError::Misaligned {
-                addr: va.as_u64(),
-                size,
-            });
-        }
-        if pa.as_u64() & (size.bytes() - 1) != 0 {
-            return Err(MmuError::Misaligned {
-                addr: pa.as_u64(),
-                size,
-            });
-        }
-
-        let leaf_level = size.leaf_level();
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            let idx = va.index_for(level);
-            if level == leaf_level {
-                let existing = self.tables[table_id.index()].entry(idx);
-                if existing.raw() != 0 {
-                    return Err(if existing.is_huge_leaf() || level == Level::Pt {
-                        MmuError::AlreadyMapped { addr: va.as_u64() }
-                    } else {
-                        // A next-level table hangs here; cannot place a huge
-                        // leaf over it.
-                        MmuError::HugePageConflict { addr: va.as_u64() }
-                    });
-                }
-                let mut leaf_flags = flags;
-                if size != PageSize::Size4K {
-                    leaf_flags |= PteFlags::HUGE;
-                } else if leaf_flags.is_huge() {
-                    // On PT entries bit 7 is PAT, not PS; reject to avoid
-                    // silently mapping something surprising.
-                    return Err(MmuError::HugePageConflict { addr: va.as_u64() });
-                }
-                self.write_entry(table_id, idx, Pte::new(pa, leaf_flags));
-                self.mapped_pages += 1;
-                return Ok(());
-            }
-
-            // Descend, allocating or validating the intermediate entry.
-            let entry = self.tables[table_id.index()].entry(idx);
-            if entry.is_huge_leaf() || (entry.raw() != 0 && !entry.is_present()) {
-                // A present huge leaf — or a non-present guard left by
-                // mprotect(PROT_NONE) on a huge page, which keeps PS but
-                // clears Present and must not be dereferenced as a
-                // table pointer (its address is a data frame).
-                return Err(MmuError::HugePageConflict { addr: va.as_u64() });
-            }
-            let next_id = if entry.raw() == 0 {
-                let new_id = self.alloc_table()?;
-                let mut inter = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::ACCESSED;
-                if flags.is_user() {
-                    inter |= PteFlags::USER;
-                }
-                self.write_entry(
-                    table_id,
-                    idx,
-                    Pte::new(PhysAddr::from_frame_number(new_id.0 as u64), inter),
-                );
-                new_id
-            } else {
-                // Upgrade intermediate permissions if this mapping needs them.
-                if flags.is_user() && !entry.flags().is_user() {
-                    self.write_entry(table_id, idx, entry.with_flags_set(PteFlags::USER));
-                }
-                FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"))
-            };
-            table_id = next_id;
-        }
-        unreachable!("leaf level is always reached in WALK_ORDER");
+        self.map_pages([MappedRegion {
+            start: va,
+            size,
+            flags,
+            phys: pa,
+        }])
     }
 
     /// Maps `count` consecutive pages of `size` starting at `va`.
@@ -379,10 +313,121 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        for i in 0..count {
-            self.map(va.wrapping_add(i * size.bytes()), size, flags)?;
+        // Frames are handed out as `count` calls to `map` would: the
+        // cursor aligns once, then advances one page for every page
+        // attempted, the failing page included.
+        let frames = size.bytes() >> 12;
+        let first = self.next_data_frame.next_multiple_of(frames);
+        let attempted = Cell::new(0);
+        let result = self.map_pages((0..count).map(|i| {
+            attempted.set(i + 1);
+            MappedRegion {
+                start: va.wrapping_add(i * size.bytes()),
+                size,
+                flags,
+                phys: PhysAddr::from_frame_number(first + i * frames),
+            }
+        }));
+        if attempted.get() > 0 {
+            self.next_data_frame = first + attempted.get() * frames;
+        }
+        result
+    }
+
+    /// Maps an ordered list of pages, each at its own physical address:
+    /// the batched form of [`AddressSpace::map_at`].
+    ///
+    /// The result is exactly that of calling `map_at` once per page in
+    /// order — the same entries, the same paging structures allocated in
+    /// the same order, the same `epoch` / `shape_epoch` accounting — but
+    /// consecutive pages whose leaves share a table share one descent
+    /// from the root and one copy-on-write of that table.
+    ///
+    /// # Errors
+    ///
+    /// The error `map_at` returns for the first page that cannot be
+    /// mapped; the pages before it stay mapped.
+    pub fn map_pages<I>(&mut self, pages: I) -> Result<(), MmuError>
+    where
+        I: IntoIterator<Item = MappedRegion>,
+    {
+        let mut pages = pages.into_iter();
+        let mut pending = pages.next();
+        while let Some(mut page) = pending {
+            let window = self.descend_for_map(&page)?;
+            let mut run = self.run(window.table);
+            let mut placed = 0;
+            let outcome = loop {
+                if let Err(e) = run.place_leaf(&page, window.level) {
+                    break Err(e);
+                }
+                placed += 1;
+                pending = pages.next();
+                match pending {
+                    // The descent for `next` would revisit the same
+                    // intermediates with nothing to allocate or upgrade.
+                    Some(next)
+                        if check_alignment(next.start, Some(next.phys), next.size).is_ok()
+                            && window.admits(next.start, next.size)
+                            && (window.user || !next.flags.is_user()) =>
+                    {
+                        page = next;
+                    }
+                    _ => break Ok(()),
+                }
+            };
+            self.mapped_pages += placed;
+            outcome?;
         }
         Ok(())
+    }
+
+    /// Checks `page`'s alignment and descends to the table its leaf goes
+    /// in, allocating missing intermediates and granting them `USER` for
+    /// a user page: every side effect of a one-page map before its leaf
+    /// write.
+    fn descend_for_map(&mut self, page: &MappedRegion) -> Result<LeafWindow, MmuError> {
+        let va = page.start;
+        check_alignment(va, Some(page.phys), page.size)?;
+        let user = page.flags.is_user();
+        let mut window = LeafWindow::at_root(self.root, va);
+        window.user = user;
+        for level in Level::WALK_ORDER {
+            if level == page.size.leaf_level() {
+                window.enter(va, level);
+                return Ok(window);
+            }
+            let idx = va.index_for(level);
+            let entry = self.tables[window.table.index()].entry(idx);
+            if entry.is_huge_leaf() || (entry.raw() != 0 && !entry.is_present()) {
+                // A present huge leaf — or a non-present guard left by
+                // mprotect(PROT_NONE) on a huge page, which keeps PS but
+                // clears Present and must not be dereferenced as a
+                // table pointer (its address is a data frame).
+                return Err(MmuError::HugePageConflict { addr: va.as_u64() });
+            }
+            let next = if entry.raw() == 0 {
+                let new_id = self.alloc_table()?;
+                let mut inter = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::ACCESSED;
+                if user {
+                    inter |= PteFlags::USER;
+                }
+                self.write_entry(
+                    window.table,
+                    idx,
+                    Pte::new(PhysAddr::from_frame_number(new_id.0 as u64), inter),
+                );
+                new_id
+            } else {
+                // Upgrade intermediate permissions if this mapping needs them.
+                if user && !entry.flags().is_user() {
+                    self.write_entry(window.table, idx, entry.with_flags_set(PteFlags::USER));
+                }
+                FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"))
+            };
+            window.descend(idx, next);
+        }
+        unreachable!("leaf level is always reached in WALK_ORDER");
     }
 
     /// Unmaps `count` consecutive pages of `size` starting at `va`.
@@ -397,10 +442,7 @@ impl AddressSpace {
         count: u64,
         size: PageSize,
     ) -> Result<(), MmuError> {
-        for i in 0..count {
-            self.unmap(va.wrapping_add(i * size.bytes()), size)?;
-        }
-        Ok(())
+        self.unmap_pages((0..count).map(|i| (va.wrapping_add(i * size.bytes()), size)))
     }
 
     /// Re-protects `count` consecutive pages of `size` starting at `va`
@@ -430,50 +472,77 @@ impl AddressSpace {
     /// * [`MmuError::NotMapped`] — nothing mapped there,
     /// * [`MmuError::SizeMismatch`] — mapped with a different page size.
     pub fn unmap(&mut self, va: VirtAddr, size: PageSize) -> Result<(), MmuError> {
-        if !va.is_aligned(size.bytes()) {
-            return Err(MmuError::Misaligned {
-                addr: va.as_u64(),
-                size,
-            });
+        self.unmap_pages([(va, size)])
+    }
+
+    /// Removes an ordered list of leaf mappings, given as (first address,
+    /// page size): the batched form of [`AddressSpace::unmap`].
+    ///
+    /// The result is exactly that of calling `unmap` once per page in
+    /// order, including freeing each paging structure at the moment its
+    /// last entry goes, but consecutive pages whose leaves share a table
+    /// share one descent from the root and one copy-on-write of that
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// The error `unmap` returns for the first page that cannot be
+    /// unmapped; the pages before it stay unmapped.
+    pub fn unmap_pages<I>(&mut self, pages: I) -> Result<(), MmuError>
+    where
+        I: IntoIterator<Item = (VirtAddr, PageSize)>,
+    {
+        let mut pages = pages.into_iter();
+        let mut pending = pages.next();
+        while let Some((mut va, size)) = pending {
+            check_alignment(va, None, size)?;
+            let window = self.locate_leaf(va, size)?;
+            let mut run = self.run(window.table);
+            let mut removed = 0;
+            let emptied = loop {
+                run.write(va.index_for(window.level), Pte::zero());
+                removed += 1;
+                if run.is_empty() {
+                    break true;
+                }
+                pending = pages.next();
+                match pending {
+                    // `locate_leaf(next)` would walk the same
+                    // intermediates to this slot and accept it.
+                    Some((next, next_size))
+                        if check_alignment(next, None, next_size).is_ok()
+                            && window.admits(next, next_size)
+                            && run.holds_leaf(next.index_for(window.level), window.level) =>
+                    {
+                        va = next;
+                    }
+                    _ => break false,
+                }
+            };
+            self.mapped_pages -= removed;
+            if emptied {
+                // Free empty paging structures, as OS kernels do on
+                // munmap — otherwise a stale empty PT/PD would block a
+                // later huge-page mapping of the same range.
+                self.prune(&window);
+                pending = pages.next();
+            }
         }
-        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
-        self.write_entry(table_id, idx, Pte::zero());
-        self.mapped_pages -= 1;
-        // Free empty paging structures, as OS kernels do on munmap —
-        // otherwise a stale empty PT/PD would block a later huge-page
-        // mapping of the same range.
-        self.prune_empty_tables(va);
         Ok(())
     }
 
-    /// Clears pointers to now-empty child tables along the walk path of
-    /// `va`, bottom-up. (Arena slots are not recycled; correctness only
+    /// Clears the link to the (empty) leaf table of `window`, then to
+    /// each ancestor that this empties, bottom-up along the recorded
+    /// descent path. (Arena slots are not recycled; correctness only
     /// needs the links gone.)
-    fn prune_empty_tables(&mut self, va: VirtAddr) {
-        let mut path: Vec<(FrameId, usize)> = Vec::with_capacity(3);
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
-            // Stop at anything that is not a present intermediate — a
-            // non-present guard leaf carries a data-frame address that
-            // must not be followed as a table link.
-            if entry.raw() == 0 || !entry.is_present() || entry.is_huge_leaf() || level == Level::Pt
-            {
+    fn prune(&mut self, window: &LeafWindow) {
+        let mut child = window.table;
+        for &(parent, idx) in window.path[..window.depth].iter().rev() {
+            if !self.tables[child.index()].is_empty() {
                 break;
             }
-            path.push((table_id, idx));
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
-        }
-        for (parent, idx) in path.into_iter().rev() {
-            let entry = self.tables[parent.index()].entry(idx);
-            let child =
-                FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
-            if self.tables[child.index()].is_empty() {
-                self.write_entry(parent, idx, Pte::zero());
-            } else {
-                break;
-            }
+            self.write_entry(parent, idx, Pte::zero());
+            child = parent;
         }
     }
 
@@ -493,7 +562,7 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
+        let (table_id, idx) = self.locate_leaf(va, size)?.slot(va);
         let entry = self.tables[table_id.index()].entry(idx);
         let mut new_flags = flags;
         if size != PageSize::Size4K {
@@ -534,8 +603,9 @@ impl AddressSpace {
     /// [`MmuError::NotMapped`] if no present leaf covers `va`.
     pub fn mark_accessed(&mut self, va: VirtAddr, write: bool) -> Result<PteFlags, MmuError> {
         let (table_id, idx) = self
-            .locate_any_leaf(va)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+            .terminal_leaf(va)
+            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?
+            .slot(va);
         let entry = self.tables[table_id.index()].entry(idx);
         if !entry.is_present() {
             return Err(MmuError::NotMapped { addr: va.as_u64() });
@@ -559,8 +629,9 @@ impl AddressSpace {
     /// [`MmuError::NotMapped`] if no leaf covers `va`.
     pub fn clear_accessed_dirty(&mut self, va: VirtAddr) -> Result<(), MmuError> {
         let (table_id, idx) = self
-            .locate_any_leaf(va)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+            .terminal_leaf(va)
+            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?
+            .slot(va);
         let entry = self.tables[table_id.index()].entry(idx);
         self.write_entry(
             table_id,
@@ -573,13 +644,13 @@ impl AddressSpace {
     /// Returns the leaf mapping covering `va`, if one is present.
     #[must_use]
     pub fn lookup(&self, va: VirtAddr) -> Option<MappedRegion> {
-        let (table_id, idx) = self.locate_any_leaf(va)?;
+        let leaf = self.terminal_leaf(va)?;
+        let (table_id, idx) = leaf.slot(va);
         let entry = self.tables[table_id.index()].entry(idx);
         if !entry.is_present() {
             return None;
         }
-        let level = self.level_of_slot(va, table_id)?;
-        let size = PageSize::from_leaf_level(level)?;
+        let size = PageSize::from_leaf_level(leaf.level)?;
         Some(MappedRegion {
             start: va.align_down(size.bytes()),
             size,
@@ -605,10 +676,12 @@ impl AddressSpace {
     ) {
         for (idx, entry) in self.tables[table_id.index()].iter_live() {
             let va = VirtAddr::new_truncate(va_prefix | ((idx as u64) << level_shift(level)));
+            // A non-present entry is never followed: above the PT it is
+            // a PROT_NONE huge-page guard whose address is a data frame.
             let is_leaf = match level {
                 Level::Pt => true,
                 Level::Pml4 => false,
-                _ => entry.is_huge_leaf(),
+                _ => entry.is_huge_leaf() || !entry.is_present(),
             };
             if is_leaf {
                 if entry.is_present() {
@@ -629,17 +702,12 @@ impl AddressSpace {
         }
     }
 
-    /// Finds the table and index of the leaf slot for (`va`, `size`),
-    /// verifying the mapping exists with exactly that size.
-    fn locate_leaf_slot(&self, va: VirtAddr, size: PageSize) -> Result<(FrameId, usize), MmuError> {
-        let (table_id, idx) = self
-            .locate_any_leaf(va)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let level = self
-            .level_of_slot(va, table_id)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let found =
-            PageSize::from_leaf_level(level).ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+    /// Descends to the leaf slot of (`va`, `size`), verifying the mapping
+    /// exists with exactly that size.
+    fn locate_leaf(&self, va: VirtAddr, size: PageSize) -> Result<LeafWindow, MmuError> {
+        let not_mapped = MmuError::NotMapped { addr: va.as_u64() };
+        let leaf = self.terminal_leaf(va).ok_or(not_mapped)?;
+        let found = PageSize::from_leaf_level(leaf.level).ok_or(not_mapped)?;
         if found != size {
             return Err(MmuError::SizeMismatch {
                 addr: va.as_u64(),
@@ -647,49 +715,209 @@ impl AddressSpace {
                 expected: size,
             });
         }
-        Ok((table_id, idx))
+        Ok(leaf)
     }
 
-    /// Descends to the slot that terminates the walk for `va`: either a
-    /// leaf entry (possibly non-present) or `None` when an intermediate
-    /// entry is missing entirely.
-    fn locate_any_leaf(&self, va: VirtAddr) -> Option<(FrameId, usize)> {
-        let mut table_id = self.root;
+    /// Descends to the leaf entry that terminates the walk for `va` — a
+    /// non-zero PT entry (present or not) or a present huge leaf — or
+    /// `None` when the walk ends at a zero or non-present entry above
+    /// the PT instead.
+    fn terminal_leaf(&self, va: VirtAddr) -> Option<LeafWindow> {
+        let mut window = LeafWindow::at_root(self.root, va);
         for level in Level::WALK_ORDER {
             let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
+            let entry = self.tables[window.table.index()].entry(idx);
             if level == Level::Pt {
                 if entry.raw() == 0 {
                     return None;
                 }
-                return Some((table_id, idx));
+                window.enter(va, level);
+                return Some(window);
             }
             if entry.is_huge_leaf() {
-                return Some((table_id, idx));
+                window.enter(va, level);
+                return Some(window);
             }
             if entry.raw() == 0 || !entry.is_present() {
                 return None;
             }
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).ok()?);
+            window.descend(
+                idx,
+                FrameId(u32::try_from(entry.addr().frame_number()).ok()?),
+            );
         }
         None
+    }
+}
+
+/// A run of entry writes into one paging structure: the one place PTE
+/// values change.
+///
+/// The table is copied on write at most once per run, at the run's
+/// first effective write, while the epoch accounting stays per entry:
+/// rewriting an entry with its current raw value is skipped, any other
+/// write bumps `epoch`, and one that can change where a walk goes or
+/// terminates (zero↔non-zero, Present flip, huge-leaf flip) also bumps
+/// `shape_epoch`.
+struct TableRun<'a> {
+    /// The arena slot, until the first effective write.
+    slot: Option<&'a mut Arc<PageTable>>,
+    /// The writable table, from the first effective write on.
+    table: Option<&'a mut PageTable>,
+    epoch: &'a mut u64,
+    shape_epoch: &'a mut u64,
+}
+
+impl TableRun<'_> {
+    fn table(&self) -> &PageTable {
+        match (&self.table, &self.slot) {
+            (Some(table), _) => table,
+            (None, Some(slot)) => slot,
+            (None, None) => unreachable!("a run holds its table in one of the two fields"),
+        }
     }
 
-    /// Determines which level `table_id` sits at for address `va`.
-    fn level_of_slot(&self, va: VirtAddr, needle: FrameId) -> Option<Level> {
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            if table_id == needle {
-                return Some(level);
-            }
-            let entry = self.tables[table_id.index()].entry(va.index_for(level));
-            if entry.raw() == 0 || entry.is_huge_leaf() {
-                return None;
-            }
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).ok()?);
-        }
-        None
+    fn is_empty(&self) -> bool {
+        self.table().is_empty()
     }
+
+    fn write(&mut self, idx: usize, pte: Pte) {
+        let old = self.table().entry(idx);
+        if old.raw() == pte.raw() {
+            return;
+        }
+        *self.epoch += 1;
+        if (old.raw() == 0) != (pte.raw() == 0)
+            || old.is_present() != pte.is_present()
+            || old.is_huge_leaf() != pte.is_huge_leaf()
+        {
+            *self.shape_epoch += 1;
+        }
+        let slot = &mut self.slot;
+        self.table
+            .get_or_insert_with(|| {
+                Arc::make_mut(slot.take().expect("the slot is held until the first write"))
+            })
+            .set_entry(idx, pte);
+    }
+
+    /// Writes `page`'s leaf into this run's table, a leaf table at
+    /// `level`, refusing an occupied slot as [`AddressSpace::map_at`]
+    /// does.
+    fn place_leaf(&mut self, page: &MappedRegion, level: Level) -> Result<(), MmuError> {
+        let addr = page.start.as_u64();
+        let idx = page.start.index_for(level);
+        let existing = self.table().entry(idx);
+        if existing.raw() != 0 {
+            return Err(if existing.is_huge_leaf() || level == Level::Pt {
+                MmuError::AlreadyMapped { addr }
+            } else {
+                // A next-level table hangs here; cannot place a huge
+                // leaf over it.
+                MmuError::HugePageConflict { addr }
+            });
+        }
+        let mut flags = page.flags;
+        if page.size != PageSize::Size4K {
+            flags |= PteFlags::HUGE;
+        } else if flags.is_huge() {
+            // On PT entries bit 7 is PAT, not PS; reject to avoid
+            // silently mapping something surprising.
+            return Err(MmuError::HugePageConflict { addr });
+        }
+        self.write(idx, Pte::new(page.phys, flags));
+        Ok(())
+    }
+
+    /// Whether slot `idx` of this table, at `level`, holds a leaf that a
+    /// walk would stop at.
+    fn holds_leaf(&self, idx: usize, level: Level) -> bool {
+        let entry = self.table().entry(idx);
+        if level == Level::Pt {
+            entry.raw() != 0
+        } else {
+            entry.is_huge_leaf()
+        }
+    }
+}
+
+/// Where a descent for one address ended: the table holding its leaf
+/// slot, and the parent entries on the way there. Every page whose
+/// leaf sits in the same table shares the descent.
+#[derive(Clone, Copy)]
+struct LeafWindow {
+    table: FrameId,
+    level: Level,
+    /// The address bits above the table's span: equal for every page
+    /// whose leaf slot is in `table`.
+    key: u64,
+    /// (table, index) of each intermediate entry read, root first; the
+    /// first `depth` are live.
+    path: [(FrameId, usize); 3],
+    depth: usize,
+    /// Every intermediate entry on the path grants `USER`.
+    user: bool,
+}
+
+impl LeafWindow {
+    fn at_root(root: FrameId, va: VirtAddr) -> Self {
+        Self {
+            table: root,
+            level: Level::Pml4,
+            key: window_key(va, Level::Pml4),
+            path: [(root, 0); 3],
+            depth: 0,
+            user: false,
+        }
+    }
+
+    /// Follows the entry at `idx` of the current table into `next`.
+    fn descend(&mut self, idx: usize, next: FrameId) {
+        self.path[self.depth] = (self.table, idx);
+        self.depth += 1;
+        self.table = next;
+    }
+
+    /// Marks the current table as the leaf table, at `level`.
+    fn enter(&mut self, va: VirtAddr, level: Level) {
+        self.level = level;
+        self.key = window_key(va, level);
+    }
+
+    /// Whether a page of `size` at `va` has its leaf slot in this table.
+    fn admits(&self, va: VirtAddr, size: PageSize) -> bool {
+        size.leaf_level() == self.level && window_key(va, self.level) == self.key
+    }
+
+    /// The (table, index) slot of `va`'s leaf.
+    fn slot(&self, va: VirtAddr) -> (FrameId, usize) {
+        (self.table, va.index_for(self.level))
+    }
+}
+
+/// The address bits above the span of one table at `level`.
+fn window_key(va: VirtAddr, level: Level) -> u64 {
+    va.as_u64() >> (level_shift(level) + 9)
+}
+
+/// The alignment checks of a one-page map (with its physical address)
+/// or unmap (without).
+fn check_alignment(va: VirtAddr, pa: Option<PhysAddr>, size: PageSize) -> Result<(), MmuError> {
+    if !va.is_aligned(size.bytes()) {
+        return Err(MmuError::Misaligned {
+            addr: va.as_u64(),
+            size,
+        });
+    }
+    if let Some(pa) = pa {
+        if pa.as_u64() & (size.bytes() - 1) != 0 {
+            return Err(MmuError::Misaligned {
+                addr: pa.as_u64(),
+                size,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl Default for AddressSpace {
@@ -1060,6 +1288,13 @@ mod tests {
         let a = va(0x7f00_0000_0000);
         s.map(a, PageSize::Size4K, PteFlags::user_rw()).unwrap();
         s.protect(a, PageSize::Size4K, PteFlags::none_guard())
+            .unwrap();
+        assert!(s.iter_regions().is_empty());
+        // A huge-page guard keeps PS and a data-frame address: it must
+        // not be followed as a table link either.
+        let big = va(0x7f00_0020_0000);
+        s.map(big, PageSize::Size2M, PteFlags::user_rw()).unwrap();
+        s.protect(big, PageSize::Size2M, PteFlags::none_guard())
             .unwrap();
         assert!(s.iter_regions().is_empty());
     }

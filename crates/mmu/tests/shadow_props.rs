@@ -14,8 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use avx_mmu::{
-    AddressSpace, PageSize, PagingStructureCache, PscConfig, PteFlags, ShadowIndex, VirtAddr,
-    WalkOutcome, Walker,
+    AddressSpace, EffectivePerms, FrameId, Level, MappedRegion, PageSize, PagingStructureCache,
+    PhysAddr, PscConfig, PteFlags, ShadowIndex, ShadowLookup, VirtAddr, WalkOutcome, Walker,
+    ENTRIES_PER_TABLE,
 };
 
 /// Candidate page bases the mutation driver works over: a mix of user,
@@ -138,6 +139,160 @@ fn drive(seed: u64, steps: usize) {
     }
 }
 
+/// One interval of the per-slot reference scan: a maximal range whose
+/// walk visits `tables[..depth]` and stops at the last of them.
+struct RefInterval {
+    start: u64,
+    last: u64,
+    tables: [FrameId; 4],
+    depth: usize,
+}
+
+/// The index layout as a scan of every slot of every table derives it,
+/// PTs included: consecutive slots that do not descend merge into one
+/// interval. `ShadowIndex::build` must resolve exactly like this while
+/// emitting each PT whole.
+fn per_slot_intervals(space: &AddressSpace) -> Vec<RefInterval> {
+    fn scan(
+        space: &AddressSpace,
+        table: FrameId,
+        depth: usize,
+        prefix: u64,
+        chain: &mut [FrameId; 4],
+        out: &mut Vec<RefInterval>,
+    ) {
+        let level = Level::WALK_ORDER[depth];
+        let span = level.entry_span();
+        chain[depth] = table;
+        let mut run: Option<(u64, u64)> = None;
+        for idx in 0..ENTRIES_PER_TABLE {
+            let va = VirtAddr::new_truncate(prefix | (idx as u64 * span)).as_u64();
+            let entry = space.table(table).entry(idx);
+            let descends = entry.is_present()
+                && match level {
+                    Level::Pt => false,
+                    Level::Pml4 => true,
+                    _ => !entry.is_huge_leaf(),
+                };
+            if !descends {
+                run = match run {
+                    Some((start, last)) if last.wrapping_add(1) == va => {
+                        Some((start, va + (span - 1)))
+                    }
+                    Some((start, last)) => {
+                        out.push(RefInterval {
+                            start,
+                            last,
+                            tables: *chain,
+                            depth: depth + 1,
+                        });
+                        Some((va, va + (span - 1)))
+                    }
+                    None => Some((va, va + (span - 1))),
+                };
+                continue;
+            }
+            if let Some((start, last)) = run.take() {
+                out.push(RefInterval {
+                    start,
+                    last,
+                    tables: *chain,
+                    depth: depth + 1,
+                });
+            }
+            let next = FrameId::new(u32::try_from(entry.addr().frame_number()).unwrap());
+            scan(space, next, depth + 1, va, chain, out);
+            chain[depth] = table;
+        }
+        if let Some((start, last)) = run {
+            out.push(RefInterval {
+                start,
+                last,
+                tables: *chain,
+                depth: depth + 1,
+            });
+        }
+    }
+    let mut out = Vec::new();
+    scan(
+        space,
+        space.root(),
+        0,
+        0,
+        &mut [FrameId::default(); 4],
+        &mut out,
+    );
+    out
+}
+
+/// What `ShadowIndex::lookup` must answer for `va` inside `iv`.
+fn reference_lookup(space: &AddressSpace, iv: &RefInterval, va: VirtAddr) -> ShadowLookup {
+    let mut perms = EffectivePerms::most_permissive();
+    for i in 0..iv.depth - 1 {
+        let entry = space
+            .table(iv.tables[i])
+            .entry(va.index_for(Level::WALK_ORDER[i]));
+        perms = perms.and_level(entry.flags());
+    }
+    let level = Level::WALK_ORDER[iv.depth - 1];
+    let terminal = space
+        .table(iv.tables[iv.depth - 1])
+        .entry(va.index_for(level));
+    let is_leaf = terminal.is_present()
+        && match level {
+            Level::Pt => true,
+            Level::Pml4 => false,
+            _ => terminal.is_huge_leaf(),
+        };
+    let mut mapping = None;
+    if is_leaf {
+        perms = perms.and_level(terminal.flags());
+        let size = PageSize::from_leaf_level(level).unwrap();
+        mapping = Some(MappedRegion {
+            start: va.align_down(size.bytes()),
+            size,
+            flags: terminal.flags(),
+            phys: terminal.addr(),
+        });
+    }
+    ShadowLookup {
+        terminal_level: level,
+        mapping,
+        perms,
+    }
+}
+
+/// A space whose PTs are full (512 leaves), partial, guard-only
+/// (non-present leaves) or linked but all-zero, beside 2 MiB leaves.
+fn pt_mix_space(rng: &mut StdRng) -> AddressSpace {
+    let mut space = AddressSpace::new();
+    for _ in 0..rng.gen_range(1u32..10) {
+        let site = SITES[rng.gen_range(0..SITES.len())] & !0x1f_ffff;
+        let pt = VirtAddr::new_truncate(site + rng.gen_range(0u64..8) * 0x20_0000);
+        let flags = if rng.gen_range(0u32..2) == 0 {
+            PteFlags::user_rw()
+        } else {
+            PteFlags::kernel_rx()
+        };
+        let _ = match rng.gen_range(0u32..5) {
+            0 => space.map_range(pt, 512, PageSize::Size4K, flags),
+            1 => (0..rng.gen_range(1u64..6)).try_for_each(|_| {
+                let page = pt.wrapping_add(rng.gen_range(0u64..512) * 0x1000);
+                space.map(page, PageSize::Size4K, flags).map(drop)
+            }),
+            2 => space
+                .map_range(pt, 3, PageSize::Size4K, flags)
+                .and_then(|()| {
+                    space.protect_range(pt, 3, PageSize::Size4K, PteFlags::none_guard())
+                }),
+            // A zero leaf value links a PT that holds nothing.
+            3 => space.map_at(pt, PhysAddr::new(0), PageSize::Size4K, PteFlags::empty()),
+            _ => space.map(pt, PageSize::Size2M, flags).map(drop),
+        };
+    }
+    space
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -176,6 +331,31 @@ proptest! {
             prop_assert_eq!(hit.mapping, walk.mapping);
             if walk.is_mapped() {
                 prop_assert_eq!(hit.perms, walk.perms);
+            }
+        }
+    }
+
+    /// Emitting each PT as one interval without reading its slots
+    /// resolves exactly like the per-slot scan: same interval count, and
+    /// the same `lookup` at every interval boundary and one page either
+    /// side of it, over full, partial, guard-only and all-zero PTs.
+    #[test]
+    fn pt_shortcut_resolves_like_the_per_slot_scan(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5107);
+        let space = pt_mix_space(&mut rng);
+        let index = ShadowIndex::build(&space);
+        let reference = per_slot_intervals(&space);
+        prop_assert_eq!(index.len(), reference.len());
+        for iv in &reference {
+            for edge in [iv.start, iv.last & !0xfff] {
+                for va in [edge.wrapping_sub(0x1000), edge, edge.wrapping_add(0x1000)] {
+                    let va = VirtAddr::new_truncate(va);
+                    let holder = reference
+                        .iter()
+                        .find(|r| r.start <= va.as_u64() && va.as_u64() <= r.last)
+                        .unwrap();
+                    prop_assert_eq!(index.lookup(&space, va), reference_lookup(&space, holder, va));
+                }
             }
         }
     }

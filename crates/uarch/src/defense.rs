@@ -23,7 +23,7 @@
 //! defended machine's *noise* stream is bit-identical to an undefended
 //! one's, and re-randomization timing is reproducible from the seed.
 
-use avx_mmu::{AddressSpace, PageSize, PhysAddr, PteFlags, VirtAddr};
+use avx_mmu::{AddressSpace, MappedRegion, PageSize, PhysAddr, PteFlags, VirtAddr};
 
 /// SplitMix64 — the defense layer's self-contained seed expander (the
 /// same mixer the campaign/fleet seed chokepoints use, duplicated here
@@ -110,6 +110,10 @@ impl AddressMask {
     }
 }
 
+/// Re-draws a re-slide makes when its drawn slot collides with another
+/// mapping, before the image goes back to its current base.
+pub const RESLIDE_REDRAWS: u32 = 8;
+
 /// One captured page of the protected image: offset from the image
 /// base plus everything needed to re-map it elsewhere.
 #[derive(Clone, Copy, Debug)]
@@ -125,10 +129,17 @@ struct CapturedPage {
 /// slot inside the region (same physical frames — the "copy" is free in
 /// the model), and the machine performs the TLB shootdown an OS would.
 ///
-/// All mutation goes through [`AddressSpace::unmap`] / `map_at`, i.e.
-/// through `write_entry`, so a re-randomization event bumps the space's
-/// `shape_epoch` like any other mutation and the shadow translation
-/// index rebuilds itself lazily on the next walk.
+/// All mutation goes through [`AddressSpace::unmap_pages`] /
+/// [`AddressSpace::map_pages`], the batched leaf writer, so a
+/// re-randomization event bumps the space's `shape_epoch` like any other
+/// mutation and the shadow translation index rebuilds itself lazily on
+/// the next walk.
+///
+/// When the drawn slot collides with something else mapped in the
+/// region (a module the victim's schedule loaded, say), the image is
+/// placed by re-drawing from the same SplitMix64 stream, up to
+/// [`RESLIDE_REDRAWS`] times, and otherwise goes back to its current
+/// base. Either way the event counts.
 #[derive(Clone, Debug)]
 pub struct Rerandomizer {
     region_start: u64,
@@ -223,27 +234,58 @@ impl Rerandomizer {
         if !self.ops_seen.is_multiple_of(self.period) {
             return false;
         }
-        let slots = (self.region_end - self.region_start - self.image_span) / self.slot_align;
-        let draw = splitmix64(self.seed ^ splitmix64(self.generation.wrapping_add(1)));
-        let new_base = self.region_start + (draw % (slots + 1)) * self.slot_align;
+        let mut draw = splitmix64(self.seed ^ splitmix64(self.generation.wrapping_add(1)));
+        let mut target = self.slot_base(draw);
         self.generation += 1;
-        if new_base == self.image_base {
+        if target == self.image_base {
             // Same slot drawn: the event still happened (epoch bump +
             // shootdown), the slide just happens to be identity.
             return true;
         }
-        for page in &self.layout {
-            let va = VirtAddr::new_truncate(self.image_base + page.offset);
-            space.unmap(va, page.size).expect("captured page mapped");
+        space
+            .unmap_pages(self.pages_at(self.image_base).map(|p| (p.start, p.size)))
+            .expect("captured pages are mapped");
+        for _ in 0..=RESLIDE_REDRAWS {
+            if self.place(space, target) {
+                self.image_base = target;
+                return true;
+            }
+            draw = splitmix64(draw);
+            target = self.slot_base(draw);
         }
-        for page in &self.layout {
-            let va = VirtAddr::new_truncate(new_base + page.offset);
-            space
-                .map_at(va, page.phys, page.size, page.flags)
-                .expect("target slot free");
-        }
-        self.image_base = new_base;
+        let restored = self.place(space, self.image_base);
+        assert!(restored, "the image's own slots were just vacated");
         true
+    }
+
+    /// The slot a draw selects for the image.
+    fn slot_base(&self, draw: u64) -> u64 {
+        let slots = (self.region_end - self.region_start - self.image_span) / self.slot_align;
+        self.region_start + (draw % (slots + 1)) * self.slot_align
+    }
+
+    /// The image's pages with its base at `base`.
+    fn pages_at(&self, base: u64) -> impl Iterator<Item = MappedRegion> + '_ {
+        self.layout.iter().map(move |page| MappedRegion {
+            start: VirtAddr::new_truncate(base + page.offset),
+            size: page.size,
+            flags: page.flags,
+            phys: page.phys,
+        })
+    }
+
+    /// Maps the image at `base`. If that collides with another mapping,
+    /// removes the pages it placed and returns `false`.
+    fn place(&self, space: &mut AddressSpace, base: u64) -> bool {
+        let before = space.mapped_pages();
+        if space.map_pages(self.pages_at(base)).is_ok() {
+            return true;
+        }
+        let placed = space.mapped_pages() - before;
+        space
+            .unmap_pages(self.pages_at(base).take(placed).map(|p| (p.start, p.size)))
+            .expect("the pages this placement mapped are mapped");
+        false
     }
 }
 
@@ -439,6 +481,56 @@ mod tests {
         assert_eq!(trajectory(5), trajectory(5), "same seed, same walk");
         assert_ne!(trajectory(5), trajectory(6), "different seed diverges");
         assert_eq!(trajectory(5).len(), 10, "every period boundary fires");
+    }
+
+    #[test]
+    fn rerandomizer_never_slides_onto_another_mapping() {
+        // A 2-slot image in an 8-slot region whose other slots are
+        // taken (except slots 6..8 in the first space): colliding draws
+        // are re-drawn, and with no free window the image stays put.
+        let region_end = REGION_START + 8 * ALIGN;
+        for free_tail in [true, false] {
+            let mut space = image_space(0, 2);
+            let obstacles = if free_tail { 2..6 } else { 2..8 };
+            for slot in obstacles.clone() {
+                space
+                    .map(
+                        VirtAddr::new_truncate(REGION_START + slot * ALIGN),
+                        PageSize::Size2M,
+                        PteFlags::kernel_rw(),
+                    )
+                    .unwrap();
+            }
+            // Capture just the image, then let it slide over all 8 slots.
+            let mut r =
+                Rerandomizer::capture(&space, REGION_START, REGION_START + 2 * ALIGN, ALIGN, 1, 3)
+                    .unwrap();
+            r.region_end = region_end;
+            let pages = space.mapped_pages();
+            for _ in 0..32 {
+                assert!(r.tick(&mut space), "every firing counts");
+                let base = r.image_base();
+                assert!(free_tail || base == REGION_START, "nowhere else to go");
+                for s in 0..2 {
+                    let page = space
+                        .lookup(VirtAddr::new_truncate(base + s * ALIGN))
+                        .unwrap();
+                    assert_eq!(
+                        page.flags,
+                        PteFlags::kernel_rx() | PteFlags::HUGE,
+                        "image whole"
+                    );
+                }
+                for slot in obstacles.clone() {
+                    let page = space
+                        .lookup(VirtAddr::new_truncate(REGION_START + slot * ALIGN))
+                        .unwrap();
+                    assert!(page.flags.is_writable(), "obstacle {slot} untouched");
+                }
+                assert_eq!(space.mapped_pages(), pages, "page count conserved");
+            }
+            assert_eq!(r.generation(), 32);
+        }
     }
 
     #[test]

@@ -436,8 +436,9 @@ impl Machine {
     /// effects through the existing chokepoints — noise-shaped events
     /// re-resolve the stationary model via [`Machine::set_noise`] (the
     /// same swap site every preset change uses), space-shaped events
-    /// mutate [`Machine::space`] through `map`/`unmap` (`write_entry`)
-    /// followed by the same TLB shootdown a defense firing performs.
+    /// mutate [`Machine::space`] through `map_range`/`unmap_range` (the
+    /// batched leaf writer) followed by the same TLB shootdown a defense
+    /// firing performs.
     fn sched_advance(&mut self) {
         let due = self.sched.as_mut().is_some_and(VictimSchedule::advance_op);
         if !due {

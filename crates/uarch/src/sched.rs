@@ -22,9 +22,9 @@
 //! * **module churn** — [`SchedEvent::ModuleLoad`] /
 //!   [`SchedEvent::ModuleUnload`] / [`SchedEvent::ProcessSpawn`]
 //!   mutate the trial's own machine clone through
-//!   [`avx_mmu::AddressSpace::map`] / `unmap` (i.e. through
-//!   `write_entry`, bumping the shape epoch like any OS mutation and
-//!   feeding the re-randomizing-defense machinery).
+//!   [`avx_mmu::AddressSpace::map_range`] / `unmap_range` (i.e. through
+//!   the batched leaf writer, bumping the shape epoch like any OS
+//!   mutation and feeding the re-randomizing-defense machinery).
 //!
 //! Like the [`crate::defense`] layer, the scheduler draws randomness
 //! from its own SplitMix64 stream seeded at install time — never from
@@ -411,9 +411,9 @@ impl VictimSchedule {
     }
 
     /// Applies a space-shaped event to `space`, routing every mutation
-    /// through [`AddressSpace::map`] / [`AddressSpace::unmap`] (i.e.
-    /// `write_entry`). Returns `true` when the space mutated — the
-    /// caller performs the TLB shootdown an OS would.
+    /// through [`AddressSpace::map_range`] / [`AddressSpace::unmap_range`]
+    /// (the batched leaf writer). Returns `true` when the space mutated —
+    /// the caller performs the TLB shootdown an OS would.
     pub fn apply_space_event(&mut self, event: SchedEvent, space: &mut AddressSpace) -> bool {
         match event {
             SchedEvent::ModuleLoad { pages } => {
@@ -428,12 +428,9 @@ impl VictimSchedule {
                 let Some((base, pages)) = self.loaded.pop() else {
                     return false;
                 };
-                for i in 0..pages {
-                    let va = VirtAddr::new_truncate(base + i * 4096);
-                    space
-                        .unmap(va, PageSize::Size4K)
-                        .expect("schedule-loaded page mapped");
-                }
+                space
+                    .unmap_range(VirtAddr::new_truncate(base), pages, PageSize::Size4K)
+                    .expect("schedule-loaded pages are mapped");
                 true
             }
             SchedEvent::ProcessSpawn { pages } => {
@@ -473,15 +470,9 @@ impl VictimSchedule {
             if !free {
                 continue;
             }
-            for i in 0..pages {
-                space
-                    .map(
-                        VirtAddr::new_truncate(base + i * 4096),
-                        PageSize::Size4K,
-                        flags,
-                    )
-                    .expect("checked free above");
-            }
+            space
+                .map_range(VirtAddr::new_truncate(base), pages, PageSize::Size4K, flags)
+                .expect("checked free above");
             return Some(base);
         }
         None

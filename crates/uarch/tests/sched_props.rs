@@ -178,7 +178,7 @@ fn module_churn_maps_and_unmaps_mid_stream() {
 fn probes_against_churned_pages_see_the_mapping_flip() {
     // A page the schedule will map: before the load event it times like
     // unmapped memory, afterwards like mapped memory. The probe stream
-    // itself witnesses the write_entry mutation.
+    // itself witnesses the page-table mutation.
     let (mut m, _) = machine(3);
     let mut sched = VictimSchedule::new(4, 3).with_module_region(SchedRegion::new(
         MODULE_REGION_START,
