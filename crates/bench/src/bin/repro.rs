@@ -24,46 +24,31 @@
 //! matrix and the drifting-noise recovery row. The output of this
 //! binary is what `EXPERIMENTS.md` records.
 
-use avx_bench::{
-    accuracy_trials, calibrate, calibrator_kind, confirm_config, defense_kind, linux_prober,
-    linux_prober_with, noise_profile, observables_version, paper, recal_config, sampling_policy,
-    schedule_kind, schedule_spec,
-};
-use avx_channel::attacks::behavior::{SpyConfig, TlbSpy};
-use avx_channel::attacks::cloud::run_scenario;
-use avx_channel::attacks::modules::score;
-use avx_channel::attacks::userspace::{LibraryMatcher, UserSpaceScanner};
-use avx_channel::attacks::windows::kernel_base_from_shadow;
-use avx_channel::countermeasures::MaskedOpSurvey;
-use avx_channel::defense::{evaluate_fgkaslr, evaluate_flare};
-use avx_channel::report::{ascii_plot_clamped, fmt_seconds, Series, Table};
-use avx_channel::stats::Summary;
+use avx_bench::{figures, linux_prober, Options};
+use avx_channel::attacks::campaign::{Campaign, CampaignConfig, Scenario};
+use avx_channel::report::{fmt_seconds, Table};
 use avx_channel::{
-    KernelBaseFinder, KptiAttack, ModuleClassifier, ModuleScanner, PermissionAttack, ProbeStrategy,
-    Prober, SimProber, Threshold, TlbAttack,
+    CalibratorKind, ConfirmConfig, DefenseKind, KernelBaseFinder, Prober, RecalConfig, Sampling,
+    ScheduleKind, Threshold,
 };
-use avx_hw::scan::{survey_corpus, synthetic_corpus};
-use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
-use avx_os::activity::{apply_activity, ActivityTimeline};
-use avx_os::cloud::CloudScenario;
-use avx_os::linux::{LinuxConfig, KPTI_TRAMPOLINE_OFFSET};
-use avx_os::modules::{unique_sized, UBUNTU_18_04_MODULES};
-use avx_os::process::{build_process, ImageSignature};
-use avx_os::windows::{WindowsConfig, WindowsSystem, WindowsVersion};
-use avx_os::ExecutionContext;
-use avx_uarch::{CpuProfile, Event, Machine, MaskedOp, NoiseModel, OpKind, VictimSchedule};
+use avx_uarch::{CpuProfile, NoiseProfile, VictimSchedule};
 
 fn heading(text: &str) {
     println!("\n## {text}\n");
 }
 
 fn main() {
+    let o = Options::from_process().unwrap_or_else(|err| {
+        eprintln!("repro: {err}");
+        std::process::exit(2)
+    });
+
     // `repro --bench-json <path>`: standardized end-to-end throughput
     // measurement only (probes/sec + trials/sec of the full noise grid,
     // plus the Fig. 4 sweep), written as machine-readable JSON so the
     // perf trajectory is tracked across PRs in `BENCH_campaign.json`.
-    if let Some(path) = avx_bench::throughput::bench_json_path() {
-        let m = avx_bench::throughput::run_bench_json(&path).expect("write bench json");
+    if let Some(path) = &o.bench_json {
+        let m = avx_bench::throughput::run_bench_json(path).expect("write bench json");
         println!(
             "campaign throughput: {:.0} probes/s, {:.1} trials/s over {} rows in {:.2} s; \
              fig4 sweep {:.0} probes/s; drift row {:.0} probes/s at {:.1} % → {}",
@@ -92,37 +77,24 @@ fn main() {
     // streaming population sweep via the fleet engine — constant-memory
     // sharded reducers with checkpoint/resume instead of the figure
     // sections.
-    if let Some(victims) = avx_bench::fleet_victims() {
-        fleet(victims);
+    if let Some(victims) = o.fleet {
+        fleet(&o, victims);
         return;
     }
 
     println!("# AVX timing side-channel reproduction — full experiment run");
     println!("(simulated substrate; see DESIGN.md for the substitution statement)");
 
-    fig1();
-    fig2();
-    fig3();
-    prop3();
-    prop4();
-    prop6();
-    fig4();
-    table1();
-    fig5();
-    kpti();
-    fig6();
-    fig7();
-    windows();
-    cloud();
-    countermeasures();
-    survey();
-    adaptive_economy();
-    calibration_menu();
-    recalibration();
-    confirmation();
-    defense_arena();
-    schedules();
-    full_campaign();
+    for artefact in &figures::ALL {
+        print!("{}", (artefact.run)(&o.campaign));
+    }
+    adaptive_economy(&o);
+    calibration_menu(&o);
+    recalibration(&o);
+    confirmation(&o);
+    defense_arena(&o);
+    schedules(&o);
+    full_campaign(&o);
     println!("\ndone.");
 }
 
@@ -132,36 +104,24 @@ fn main() {
 /// canonical `fleet aggregate:` line (bit-identical across shardings
 /// and kill-and-resume boundaries; CI diffs it) and a `victims/sec`
 /// throughput line.
-fn fleet(victims: u64) {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn fleet(o: &Options, victims: u64) {
     use avx_channel::fleet::{Fleet, FleetConfig};
 
     heading("Fleet campaign — kernel-base population sweep");
-    let campaign = CampaignConfig {
-        noise: noise_profile(),
-        sampling: sampling_policy(),
-        calibrator: calibrator_kind(),
-        recal: recal_config(),
-        confirm: confirm_config(),
-        observables: observables_version(),
-        defense: defense_kind(),
-        schedule: schedule_kind(),
-        ..CampaignConfig::default()
-    };
     let mut config = FleetConfig::new(victims);
-    if let Some(shards) = avx_bench::fleet_shards() {
+    if let Some(shards) = o.fleet_shards {
         config = config.with_shards(shards);
     }
-    if let Some(path) = avx_bench::fleet_checkpoint() {
-        config = config.with_checkpoint(path);
+    if let Some(path) = &o.fleet_checkpoint {
+        config = config.with_checkpoint(path.clone());
     }
-    if let Some(max) = avx_bench::fleet_max_shards() {
+    if let Some(max) = o.fleet_max_shards {
         config = config.with_max_shards(max);
     }
     let fleet = Fleet::new(
         Scenario::KernelBase,
         CpuProfile::alder_lake_i5_12400f(),
-        campaign,
+        o.campaign,
         config,
     );
     println!(
@@ -222,11 +182,8 @@ fn fleet(victims: u64) {
 /// The defense arena: the kernel-base cell against every entry of the
 /// defense menu, quiet and laptop hosts — the per-row efficacy picture
 /// `docs/DEFENSES.md` documents.
-fn defense_arena() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::DefenseKind;
-    use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+fn defense_arena(o: &Options) {
+    let trials = o.campaign.trials.min(12);
     heading(&format!(
         "Defense arena — kernel-base attack vs the defense menu (n={trials})"
     ));
@@ -238,9 +195,9 @@ fn defense_arena() {
                 &profile,
                 CampaignConfig::new(trials, 0)
                     .with_noise(noise)
-                    .with_sampling(sampling_policy())
-                    .with_calibrator(calibrator_kind())
-                    .with_observables(observables_version())
+                    .with_sampling(o.campaign.sampling)
+                    .with_calibrator(o.campaign.calibrator)
+                    .with_observables(o.campaign.observables)
                     .with_defense(defense),
             );
             table.row([
@@ -261,10 +218,8 @@ fn defense_arena() {
 /// noise-preset swaps go stale against a one-shot threshold, and the
 /// closed loop recovers through `DriftMonitor::check` alone (see
 /// `docs/VICTIMS.md` for the per-row helps-vs-hurts picture).
-fn schedules() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::{CalibratorKind, RecalConfig, Sampling, ScheduleKind};
-    let trials = accuracy_trials().min(12);
+fn schedules(o: &Options) {
+    let trials = o.campaign.trials.min(12);
     heading(&format!(
         "Event-driven victims — schedule menu (n={trials}, adaptive sampling)"
     ));
@@ -272,7 +227,7 @@ fn schedules() {
     let base = CampaignConfig::new(trials, 0)
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(o.campaign.observables);
     let mut table = Table::new(["Schedule", "Calibration", "p/addr", "Accuracy"]);
     for schedule in ScheduleKind::ALL {
         for (label, config) in [
@@ -297,18 +252,18 @@ fn schedules() {
         "  (select per run: repro --schedule <none|dvfs-square|cotenant-burst|module-churn> \
          or --schedule <trace-file>)"
     );
-    trace_demo();
+    trace_demo(o);
 }
 
 /// `--schedule <trace-file>`: one demonstration scan against a
 /// user-authored victim schedule (the trace grammar of
 /// `docs/VICTIMS.md`), reported alongside the preset menu.
-fn trace_demo() {
-    let Some(spec) = schedule_spec() else { return };
-    if avx_channel::ScheduleKind::parse(&spec).is_some() {
+fn trace_demo(o: &Options) {
+    let Some(spec) = &o.schedule_spec else { return };
+    if ScheduleKind::parse(spec).is_some() {
         return;
     }
-    let text = match std::fs::read_to_string(&spec) {
+    let text = match std::fs::read_to_string(spec) {
         Ok(text) => text,
         Err(err) => {
             println!("  trace schedule {spec:?}: unreadable ({err}); demo skipped");
@@ -322,7 +277,6 @@ fn trace_demo() {
             return;
         }
     };
-    use avx_channel::attacks::campaign::CampaignConfig;
     let profile = CpuProfile::alder_lake_i5_12400f();
     let (mut p, truth) = linux_prober(profile.clone(), 77);
     // Mirror the campaign install order and attacker tooling: the
@@ -331,13 +285,12 @@ fn trace_demo() {
     // knobs — sampling policy, calibrator, recalibration.
     let base = sched.profile();
     p.machine_mut().set_noise_profile(base);
-    p.machine_mut().set_observables(observables_version());
+    p.machine_mut().set_observables(o.campaign.observables);
     p.machine_mut().set_victim_schedule(Some(sched));
-    let config = CampaignConfig::new(1, 77)
-        .with_noise(base)
-        .with_sampling(sampling_policy())
-        .with_calibrator(calibrator_kind())
-        .with_observables(observables_version());
+    let config = CampaignConfig {
+        noise: base,
+        ..o.campaign
+    };
     let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
     let mut finder = KernelBaseFinder::new(fit.threshold);
     if let Some(sampler) = config.sampler_for(&profile, &fit) {
@@ -346,7 +299,7 @@ fn trace_demo() {
     if let Some(strategy) = config.sampling.strategy_override() {
         finder = finder.with_strategy(strategy);
     }
-    if let Some(recal) = recal_config() {
+    if let Some(recal) = o.campaign.recal {
         finder = finder.with_recalibration(recal);
     }
     let scan = finder.scan(&mut p);
@@ -366,36 +319,23 @@ fn trace_demo() {
 
 /// The generalized Table I: every §IV attack scenario across the three
 /// evaluated desktop/mobile parts, trials parallelized via rayon.
-fn full_campaign() {
-    use avx_channel::attacks::campaign::{Campaign, CampaignConfig};
-    let trials = accuracy_trials().min(12);
-    let noise = noise_profile();
-    let sampling = sampling_policy();
-    let calibrator = calibrator_kind();
-    let recal = recal_config();
-    let confirm = confirm_config();
-    let observables = observables_version();
-    let defense = defense_kind();
-    let schedule = schedule_kind();
+fn full_campaign(o: &Options) {
+    let config = CampaignConfig {
+        trials: o.campaign.trials.min(12),
+        ..o.campaign
+    };
     heading(&format!(
-        "Full campaign — all 8 attacks x 3 CPUs (n={trials}, noise={noise}, sampling={}, calibrator={calibrator}, recalibrate={}, confirm={}, observables={observables}, defense={defense}, schedule={schedule}, rayon-parallel)",
-        sampling.name(),
-        if recal.is_some() { "on" } else { "off" },
-        if confirm.is_some() { "on" } else { "off" },
+        "Full campaign — all 8 attacks x 3 CPUs (n={}, noise={}, sampling={}, calibrator={}, recalibrate={}, confirm={}, observables={}, defense={}, schedule={}, rayon-parallel)",
+        config.trials,
+        config.noise,
+        config.sampling.name(),
+        config.calibrator,
+        if config.recal.is_some() { "on" } else { "off" },
+        if config.confirm.is_some() { "on" } else { "off" },
+        config.observables,
+        config.defense,
+        config.schedule,
     ));
-    let mut config = CampaignConfig::new(trials, 0)
-        .with_noise(noise)
-        .with_sampling(sampling)
-        .with_calibrator(calibrator)
-        .with_observables(observables)
-        .with_defense(defense)
-        .with_schedule(schedule);
-    if let Some(recal) = recal {
-        config = config.with_recalibration(recal);
-    }
-    if let Some(confirm) = confirm {
-        config = config.with_confirmation(confirm);
-    }
     let campaign = Campaign::full(config);
     let mut table = Table::new([
         "CPU", "Target", "Probing", "Total", "p/addr", "Accuracy", "Records",
@@ -416,11 +356,8 @@ fn full_campaign() {
 
 /// The adaptive engine's probe economy: the kernel-base cell across
 /// every noise preset, fixed vs fixed-budget vs adaptive.
-fn adaptive_economy() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::Sampling;
-    use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(8);
+fn adaptive_economy(o: &Options) {
+    let trials = o.campaign.trials.min(8);
     heading(&format!(
         "Adaptive vs fixed — probes/address x accuracy across the noise matrix (n={trials})"
     ));
@@ -437,8 +374,8 @@ fn adaptive_economy() {
                 CampaignConfig::new(trials, 0)
                     .with_noise(noise)
                     .with_sampling(sampling)
-                    .with_calibrator(calibrator_kind())
-                    .with_observables(observables_version()),
+                    .with_calibrator(o.campaign.calibrator)
+                    .with_observables(o.campaign.observables),
             );
             table.row([
                 noise.to_string(),
@@ -459,11 +396,8 @@ fn adaptive_economy() {
 /// min-pulled legacy floor drifts ≈ 8 cycles low and caps accuracy
 /// regardless of the probe budget. Quiet rows ride along to show the
 /// robust estimators cost nothing when the host is quiet.
-fn calibration_menu() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::{CalibratorKind, Sampling};
-    use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+fn calibration_menu(o: &Options) {
+    let trials = o.campaign.trials.min(12);
     heading(&format!(
         "Calibration estimators — noise-aware floor fitting (n={trials}, adaptive sampling)"
     ));
@@ -477,7 +411,7 @@ fn calibration_menu() {
                     .with_noise(noise)
                     .with_sampling(Sampling::adaptive())
                     .with_calibrator(calibrator)
-                    .with_observables(observables_version()),
+                    .with_observables(o.campaign.observables),
             );
             table.row([
                 noise.to_string(),
@@ -496,11 +430,8 @@ fn calibration_menu() {
 /// One-shot calibration goes stale mid-sweep (the SPRT keeps trusting
 /// the quiet-phase σ); the closed loop detects the dispersion shift,
 /// re-fits via the EM threshold re-fit and recovers.
-fn recalibration() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::{CalibratorKind, RecalConfig, Sampling};
-    use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+fn recalibration(o: &Options) {
+    let trials = o.campaign.trials.min(12);
     heading(&format!(
         "Closed-loop recalibration — quiet→laptop drift mid-scan (n={trials}, adaptive sampling)"
     ));
@@ -509,7 +440,7 @@ fn recalibration() {
         .with_noise(NoiseProfile::drift_quiet_to_laptop())
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(o.campaign.observables);
     let mut table = Table::new(["Calibration", "p/addr", "Accuracy"]);
     for (label, config) in [
         ("one-shot", base),
@@ -537,11 +468,8 @@ fn recalibration() {
 /// the legacy first-wins rule latches onto them; the confirmation
 /// layer re-tests every candidate with an escalated budget and a
 /// slot-level sequential test before committing.
-fn confirmation() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
-    use avx_channel::{CalibratorKind, ConfirmConfig, Sampling};
-    use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+fn confirmation(o: &Options) {
+    let trials = o.campaign.trials.min(12);
     heading(&format!(
         "Confirmation policy — KPTI trampoline under laptop DVFS (n={trials}, adaptive sampling)"
     ));
@@ -550,7 +478,7 @@ fn confirmation() {
         .with_noise(NoiseProfile::LaptopDvfs)
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(o.campaign.observables);
     let mut table = Table::new(["Decision", "p/addr", "Accuracy"]);
     for (label, config) in [
         ("confirm=off (first-wins)", base),
@@ -568,528 +496,4 @@ fn confirmation() {
     }
     println!("{table}");
     println!("  (reproduce: repro --noise laptop --adaptive --calibrator noise-aware [--confirm])");
-}
-
-fn quiet_machine(profile: CpuProfile, space: AddressSpace, seed: u64) -> Machine {
-    let sigma = NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0));
-    let mut m = Machine::new(profile, space, seed);
-    m.set_noise(sigma);
-    m
-}
-
-fn fig1() {
-    heading("Fig. 1 — fault suppression (A–D)");
-    let mut space = AddressSpace::new();
-    let mapped = VirtAddr::new_truncate(0x5555_5555_4000);
-    space
-        .map(mapped, PageSize::Size4K, PteFlags::user_rw())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 1);
-    let boundary = mapped.wrapping_add(0xff0);
-    for (label, kind, bits) in [
-        (
-            "A load, invalid lane unmasked ",
-            OpKind::Load,
-            0b1111_0001u8,
-        ),
-        ("B load, invalid lanes masked  ", OpKind::Load, 0b0000_0111),
-        ("C store, invalid lane unmasked", OpKind::Store, 0b1111_0001),
-        ("D store, invalid lanes masked ", OpKind::Store, 0b0000_0111),
-    ] {
-        let op = avx_uarch::MaskedOp {
-            kind,
-            addr: boundary,
-            mask: avx_uarch::Mask::new(bits, 8),
-            width: avx_uarch::ElemWidth::Dword,
-        };
-        let out = m.execute(op);
-        println!(
-            "  {label}: {}",
-            match out.fault {
-                Some(f) => format!("#PF delivered ({f})"),
-                None => format!("suppressed, assist={}, {} cycles", out.assist, out.cycles),
-            }
-        );
-    }
-}
-
-fn fig2() {
-    heading("Fig. 2 — latency + PMCs per page type (i7-1065G7)");
-    let mut space = AddressSpace::new();
-    let user_m = VirtAddr::new_truncate(0x5555_5555_4000);
-    let user_u = VirtAddr::new_truncate(0x5555_5555_5000);
-    let kernel_m = VirtAddr::new_truncate(0xffff_ffff_a1e0_0000);
-    let kernel_u = VirtAddr::new_truncate(0xffff_ffff_a1a0_0000);
-    space
-        .map(user_m, PageSize::Size4K, PteFlags::user_rw())
-        .unwrap();
-    space
-        .map(user_u, PageSize::Size4K, PteFlags::user_rw())
-        .unwrap();
-    space
-        .protect(user_u, PageSize::Size4K, PteFlags::none_guard())
-        .unwrap();
-    space
-        .map(kernel_m, PageSize::Size2M, PteFlags::kernel_rx())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 2);
-
-    let mut table = Table::new(["page type", "measured", "paper", "assists", "walks"]);
-    for (i, (label, addr)) in [
-        ("USER-M", user_m),
-        ("USER-U", user_u),
-        ("KERNEL-M", kernel_m),
-        ("KERNEL-U", kernel_u),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let probe = MaskedOp::probe_load(*addr);
-        for _ in 0..4 {
-            let _ = m.execute(probe);
-        }
-        let snap = m.pmc().snapshot();
-        let samples: Vec<u64> = (0..1000).map(|_| m.execute(probe).cycles).collect();
-        let d = m.pmc().delta(&snap);
-        let s = Summary::of(&samples);
-        table.row([
-            label.to_string(),
-            format!("{:.0}±{:.2}", s.mean, s.stddev),
-            format!("{:.0}", paper::FIG2_MEANS[i]),
-            format!("{}", d.get(Event::AssistsAny) / 1000),
-            format!("{}", d.get(Event::DtlbLoadWalkCompleted) / 1000),
-        ]);
-    }
-    println!("{table}");
-}
-
-fn fig3() {
-    heading("Fig. 3 — latency by permission (generic desktop)");
-    let mut space = AddressSpace::new();
-    let ro = VirtAddr::new_truncate(0x7f00_0000_0000);
-    let rx = VirtAddr::new_truncate(0x7f00_0000_1000);
-    let rw = VirtAddr::new_truncate(0x7f00_0000_2000);
-    let none = VirtAddr::new_truncate(0x7f00_0000_3000);
-    space
-        .map(ro, PageSize::Size4K, PteFlags::user_ro())
-        .unwrap();
-    space
-        .map(rx, PageSize::Size4K, PteFlags::user_rx())
-        .unwrap();
-    space
-        .map(rw, PageSize::Size4K, PteFlags::user_rw())
-        .unwrap();
-    space.mark_accessed(rw, true).unwrap();
-    space
-        .map(none, PageSize::Size4K, PteFlags::user_rw())
-        .unwrap();
-    space
-        .protect(none, PageSize::Size4K, PteFlags::none_guard())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::generic_desktop(), space, 3);
-
-    let mut table = Table::new(["perm", "load", "paper", "store", "paper"]);
-    for (i, (label, addr)) in [("r--", ro), ("r-x", rx), ("rw-", rw), ("---", none)]
-        .iter()
-        .enumerate()
-    {
-        let mut run = |kind: OpKind| {
-            let op = match (kind, *addr == rw) {
-                (OpKind::Store, true) => avx_uarch::MaskedOp {
-                    kind,
-                    addr: *addr,
-                    mask: avx_uarch::Mask::all_set(8),
-                    width: avx_uarch::ElemWidth::Dword,
-                },
-                (OpKind::Load, _) => MaskedOp::probe_load(*addr),
-                (OpKind::Store, _) => MaskedOp::probe_store(*addr),
-            };
-            for _ in 0..4 {
-                let _ = m.execute(op);
-            }
-            let samples: Vec<u64> = (0..500).map(|_| m.execute(op).cycles).collect();
-            Summary::of(&samples).mean
-        };
-        let load = run(OpKind::Load);
-        let store = run(OpKind::Store);
-        table.row([
-            label.to_string(),
-            format!("{load:.0}"),
-            format!("{:.0}", paper::FIG3_LOAD[i]),
-            format!("{store:.0}"),
-            format!("{:.0}", paper::FIG3_STORE[i]),
-        ]);
-    }
-    println!("{table}");
-}
-
-fn prop3() {
-    heading("§III-B P3 — walk-termination level (i9-9900, INVLPG methodology)");
-    let mut space = AddressSpace::new();
-    let pt = VirtAddr::new_truncate(0xffff_ffff_c012_3000);
-    let pd = VirtAddr::new_truncate(0xffff_ffff_a1e0_0000);
-    let pdpt = VirtAddr::new_truncate(0xffff_c000_0000_0000);
-    let pml4 = VirtAddr::new_truncate(0xffff_9000_0000_0000);
-    space
-        .map(pt, PageSize::Size4K, PteFlags::kernel_rx())
-        .unwrap();
-    space
-        .map(pd, PageSize::Size2M, PteFlags::kernel_rx())
-        .unwrap();
-    space
-        .map(pdpt, PageSize::Size1G, PteFlags::kernel_rw())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::coffee_lake_i9_9900(), space, 4);
-    for (label, addr) in [
-        ("PD   (2 MiB)", pd),
-        ("PDPT (1 GiB)", pdpt),
-        ("PML4 (hole) ", pml4),
-        ("PT   (4 KiB)", pt),
-    ] {
-        let probe = MaskedOp::probe_load(addr);
-        let _ = m.execute(probe);
-        let samples: Vec<u64> = (0..500)
-            .map(|_| {
-                m.invlpg(addr);
-                m.execute(probe).cycles
-            })
-            .collect();
-        println!("  {label}: {:.1} cycles", Summary::of(&samples).mean);
-    }
-    println!("  (paper: linear increase PD → PML4, PT above the line)");
-}
-
-fn prop4() {
-    heading("§III-B P4 — TLB hit vs miss (i9-9900, n=1000)");
-    let mut space = AddressSpace::new();
-    let kernel = VirtAddr::new_truncate(0xffff_ffff_a1e0_0000);
-    space
-        .map(kernel, PageSize::Size2M, PteFlags::kernel_rx())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::coffee_lake_i9_9900(), space, 5);
-    let probe = MaskedOp::probe_load(kernel);
-    let _ = m.execute(probe);
-    let mut miss = Vec::new();
-    let mut hit = Vec::new();
-    for _ in 0..1000 {
-        m.evict_translation(kernel);
-        miss.push(m.execute(probe).cycles);
-        hit.push(m.execute(probe).cycles);
-    }
-    println!(
-        "  miss: {:.0} cycles [paper {:.0}], hit: {:.0} cycles [paper {:.0}]",
-        Summary::of(&miss).mean,
-        paper::P4_HIT_MISS.1,
-        Summary::of(&hit).mean,
-        paper::P4_HIT_MISS.0
-    );
-}
-
-fn prop6() {
-    heading("§III-B P6 — masked store vs load on KERNEL-M (i7-1065G7)");
-    let mut space = AddressSpace::new();
-    let kernel = VirtAddr::new_truncate(0xffff_ffff_a1e0_0000);
-    space
-        .map(kernel, PageSize::Size2M, PteFlags::kernel_rx())
-        .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 6);
-    let load = MaskedOp::probe_load(kernel);
-    let store = MaskedOp::probe_store(kernel);
-    for _ in 0..4 {
-        let _ = m.execute(load);
-        let _ = m.execute(store);
-    }
-    let loads: Vec<u64> = (0..1000).map(|_| m.execute(load).cycles).collect();
-    let stores: Vec<u64> = (0..1000).map(|_| m.execute(store).cycles).collect();
-    let (l, s) = (Summary::of(&loads).mean, Summary::of(&stores).mean);
-    println!(
-        "  load {l:.0} [paper {:.0}], store {s:.0} [paper {:.0}], delta {:.1}",
-        paper::P6_LOAD_STORE.0,
-        paper::P6_LOAD_STORE.1,
-        l - s
-    );
-}
-
-fn fig4() {
-    heading("Fig. 4 — 512-offset kernel scan (i5-12400F, slide pinned to 271)");
-    let (mut p, truth) = linux_prober_with(
-        LinuxConfig {
-            fixed_slide: Some(271),
-            ..LinuxConfig::seeded(7)
-        },
-        CpuProfile::alder_lake_i5_12400f(),
-        7,
-    );
-    let th = calibrate(&mut p, &truth);
-    let scan = KernelBaseFinder::new(th).scan(&mut p);
-    let series = Series::from_samples("cycles per 2 MiB offset", &scan.samples);
-    println!("{}", ascii_plot_clamped(&series, 100, 12, 130.0));
-    println!(
-        "  base recovered: {} (truth {}); threshold {:.1}",
-        scan.base.map_or("-".into(), |b| b.to_string()),
-        truth.kernel_base,
-        th.boundary()
-    );
-}
-
-fn table1() {
-    let trials = accuracy_trials();
-    let noise = noise_profile();
-    let sampling = sampling_policy();
-    let calibrator = calibrator_kind();
-    heading(&format!(
-        "Table I — runtime and accuracy (n={trials}, noise={noise}, sampling={}, calibrator={calibrator})",
-        sampling.name()
-    ));
-    let mut config = avx_channel::attacks::campaign::CampaignConfig::new(trials, 0)
-        .with_noise(noise)
-        .with_sampling(sampling)
-        .with_calibrator(calibrator);
-    if let Some(recal) = recal_config() {
-        config = config.with_recalibration(recal);
-    }
-    if let Some(confirm) = confirm_config() {
-        config = config.with_confirmation(confirm);
-    }
-    let rows = avx_channel::attacks::campaign::table1(config);
-    let mut table = Table::new(["CPU", "Target", "Probing", "Total", "p/addr", "Accuracy"]);
-    for row in &rows {
-        table.row([
-            row.cpu.clone(),
-            row.target.to_string(),
-            fmt_seconds(row.probing_seconds),
-            fmt_seconds(row.total_seconds),
-            format!("{:.2}", row.probes_per_address),
-            format!("{:.2} %", row.accuracy.percent()),
-        ]);
-    }
-    println!("{table}");
-    println!("  paper rows:");
-    for (cpu, target, probing, total, acc) in paper::TABLE1 {
-        println!("    {cpu} {target}: {probing} / {total} / {acc:.2} %");
-    }
-}
-
-fn fig5() {
-    heading("Fig. 5 — module detection and identification (i7-1065G7)");
-    let (mut p, truth) = linux_prober(CpuProfile::ice_lake_i7_1065g7(), 8);
-    let th = calibrate(&mut p, &truth);
-    let scan = ModuleScanner::new(th).scan(&mut p);
-    let ids = ModuleClassifier::new(&UBUNTU_18_04_MODULES).classify(&scan);
-    let s = score(&scan, &ids, &truth.modules);
-    println!(
-        "  modules loaded: {} ({} unique sizes); detected runs: {}",
-        truth.modules.len(),
-        unique_sized(&UBUNTU_18_04_MODULES).len(),
-        scan.detected.len()
-    );
-    for name in ["autofs4", "x_tables", "video", "mac_hid", "pinctrl_icelake"] {
-        let m = truth.module(name).unwrap();
-        let id = ids.iter().find(|i| i.detected.base == m.base);
-        println!(
-            "    {name} (size {:#x}) → {}",
-            m.spec.size,
-            match id.and_then(|i| i.unique_name()) {
-                Some(n) => format!("identified as {n}"),
-                None => format!(
-                    "ambiguous among {} same-size modules",
-                    id.map_or(0, |i| i.candidates.len())
-                ),
-            }
-        );
-    }
-    println!(
-        "  exact detection {:.2} %, unique-size identification {:.2} % [paper accuracy {:.2} %]",
-        s.exact.percent(),
-        s.identified.percent(),
-        paper::MODULES.2
-    );
-}
-
-fn kpti() {
-    heading("§IV-D — KASLR break with KPTI enabled");
-    let (mut p, truth) = linux_prober_with(
-        LinuxConfig {
-            kpti: true,
-            fixed_slide: Some(8),
-            ..LinuxConfig::seeded(9)
-        },
-        CpuProfile::alder_lake_i5_12400f(),
-        9,
-    );
-    let th = calibrate(&mut p, &truth);
-    let scan = KptiAttack::new(th, KPTI_TRAMPOLINE_OFFSET).scan(&mut p);
-    println!(
-        "  trampoline at {} [paper: 0xffffffff81c00000], base {} (truth {})",
-        scan.trampoline.map_or("-".into(), |t| t.to_string()),
-        scan.base.map_or("-".into(), |b| b.to_string()),
-        truth.kernel_base
-    );
-}
-
-fn fig6() {
-    heading("Fig. 6 — behaviour inference (bluetooth / psmouse, 1 Hz, 100 s)");
-    for (timeline, seed) in [
-        (ActivityTimeline::bluetooth_session(), 10u64),
-        (ActivityTimeline::mouse_session(), 11),
-    ] {
-        let (mut p, truth) = linux_prober(CpuProfile::ice_lake_i7_1065g7(), seed);
-        let th = calibrate(&mut p, &truth);
-        let module = truth.module(timeline.behaviour.module_name()).unwrap();
-        let (base, pages) = (module.base, module.spec.pages());
-        let tlb = TlbAttack::from_threshold(&th);
-        let spy = TlbSpy::new(SpyConfig::default(), tlb);
-        let trace = spy.monitor(&mut p, base, |p, t| {
-            apply_activity(p.machine_mut(), &timeline, base, pages, t);
-        });
-        let series = Series {
-            label: format!("{}", timeline.behaviour),
-            points: trace
-                .samples
-                .iter()
-                .map(|s| (s.t, s.cycles as f64))
-                .collect(),
-        };
-        println!("{}", ascii_plot_clamped(&series, 100, 8, 500.0));
-        println!(
-            "  agreement with ground truth: {:.1} %\n",
-            trace.score(&timeline, tlb.hit_boundary) * 100.0
-        );
-    }
-}
-
-fn fig7() {
-    heading("§IV-F + Fig. 7 — user-space break inside SGX2");
-    let mut space = AddressSpace::new();
-    let truth = build_process(
-        &mut space,
-        &ImageSignature::fig7_app(),
-        &ImageSignature::standard_set(),
-        12,
-    );
-    let own = VirtAddr::new_truncate(0x5400_0000_0000);
-    space
-        .map(own, PageSize::Size4K, PteFlags::user_ro())
-        .unwrap();
-    let machine = Machine::new(CpuProfile::ice_lake_i7_1065g7(), space, 12);
-    let mut p = SimProber::with_context(machine, ExecutionContext::sgx2());
-    let perm = PermissionAttack::calibrate(&mut p, own);
-    let scanner = UserSpaceScanner::new(perm);
-
-    let libc = truth.library_base("libc.so.6").unwrap();
-    let pages = (ImageSignature::libc().span() + 0x6000) / 4096;
-    let before = p.probing_cycles();
-    let map = scanner.scan(&mut p, libc, pages);
-    let cycles = p.probing_cycles() - before;
-    println!("  detected libc regions:");
-    for r in &map.regions {
-        println!("    {r}");
-    }
-    let matcher = LibraryMatcher::new(ImageSignature::standard_set());
-    let first = truth.libraries.first().unwrap().base;
-    let last = truth.libraries.last().unwrap();
-    let span = last.base.as_u64() + last.signature.span() + 0x10_0000 - first.as_u64();
-    let full = scanner.scan(&mut p, first, span / 4096);
-    let found = matcher.find_all(&full);
-    println!("  libraries identified: {}", found.len());
-    for m in &found {
-        println!(
-            "    {} at {} ({})",
-            m.name,
-            m.base,
-            if truth.library_base(m.name) == Some(m.base) {
-                "correct"
-            } else {
-                "WRONG"
-            }
-        );
-    }
-    let per_page = cycles as f64 / pages as f64;
-    println!(
-        "  extrapolated full 2^28-page scan: {:.0} s [paper: {:.0} s load / {:.0} s store]",
-        per_page * (1u64 << 28) as f64 / (p.clock_ghz() * 1e9),
-        paper::SGX_SCAN_SECONDS.0,
-        paper::SGX_SCAN_SECONDS.1
-    );
-}
-
-fn windows() {
-    heading("§IV-G — Windows 10 KASLR / KVAS");
-    let sys = WindowsSystem::build(WindowsConfig::default());
-    let (machine, truth) = sys.into_machine(CpuProfile::alder_lake_i5_12400f(), 13);
-    let mut p = SimProber::new(machine);
-    let th = Threshold::calibrate(&mut p, truth.user_scratch, 16);
-    let scan = avx_channel::WindowsKaslrAttack::new(th).find_kernel_region(&mut p);
-    println!(
-        "  18-bit region scan: base {} (truth {}), {} [paper ≈ {:.0} ms]",
-        scan.base.map_or("-".into(), |b| b.to_string()),
-        truth.kernel_base,
-        fmt_seconds(scan.total_cycles as f64 / (p.clock_ghz() * 1e9)),
-        paper::WINDOWS_REGION_MS
-    );
-
-    let sys = WindowsSystem::build(WindowsConfig {
-        version: WindowsVersion::V1709,
-        kvas: true,
-        fixed_slot: None,
-        seed: 14,
-    });
-    let (machine, truth) = sys.into_machine(CpuProfile::skylake_i7_6600u(), 14);
-    let mut p = SimProber::new(machine);
-    let th = Threshold::calibrate(&mut p, truth.user_scratch, 16);
-    let attack = avx_channel::WindowsKaslrAttack::new(th);
-    let window = VirtAddr::new_truncate(truth.kernel_base.as_u64() - 2048 * 4096);
-    if let Some(shadow) = attack.find_kvas_shadow(&mut p, window, 4096) {
-        println!(
-            "  KVAS: shadow at {shadow} → base {} (truth {}) [paper: 8 s full sweep, 100 %]",
-            kernel_base_from_shadow(shadow),
-            truth.kernel_base
-        );
-    } else {
-        println!("  KVAS: shadow not found");
-    }
-}
-
-fn cloud() {
-    heading("§IV-H — cloud KASLR breaks");
-    for scenario in CloudScenario::all(99) {
-        let report = run_scenario(&scenario, 15);
-        println!("  {report}");
-    }
-    println!(
-        "  paper runtimes: EC2 {} base / {} modules; GCE {} / {}; Azure {}",
-        fmt_seconds(paper::CLOUD_SECONDS[0]),
-        fmt_seconds(paper::CLOUD_SECONDS[1]),
-        fmt_seconds(paper::CLOUD_SECONDS[2]),
-        fmt_seconds(paper::CLOUD_SECONDS[3]),
-        fmt_seconds(paper::CLOUD_SECONDS[4])
-    );
-    println!("  note: our KPTI model hides the module area, so EC2 reports no modules.");
-}
-
-fn countermeasures() {
-    heading("§V-A — FLARE and FGKASLR");
-    println!(
-        "  {}",
-        evaluate_flare(CpuProfile::alder_lake_i5_12400f(), 16)
-    );
-    println!(
-        "  {}",
-        evaluate_fgkaslr(CpuProfile::alder_lake_i5_12400f(), 17, "commit_creds")
-    );
-}
-
-fn survey() {
-    heading("§V-B — masked-op usage survey");
-    let corpus = synthetic_corpus(paper::SURVEY.1, paper::SURVEY.0, 16 * 1024, 18);
-    let count = survey_corpus(&corpus);
-    let s = MaskedOpSurvey {
-        total: count.total,
-        containing: count.containing,
-    };
-    println!(
-        "  {s} [paper: 6 of 4104] — NOP replacement impact: {}",
-        if s.low_impact() { "low" } else { "HIGH" }
-    );
-    let _ = ProbeStrategy::SecondOfTwo; // (referenced for doc purposes)
 }

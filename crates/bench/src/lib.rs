@@ -1,14 +1,19 @@
 //! # avx-bench — the reproduction harness
 //!
-//! Shared machinery for the Criterion benches (one per table/figure of
-//! the paper) and the `repro` binary that regenerates every number in
-//! `EXPERIMENTS.md`.
+//! Shared machinery for the `repro` binary that regenerates every
+//! number in `EXPERIMENTS.md`, the Criterion benches and the
+//! paper-value tests.
 //!
-//! The `paper` module records the published values so every bench can
-//! print a paper-vs-measured comparison next to its timing output.
+//! [`figures`] defines each paper artefact once; [`paper`] records the
+//! published values it is compared against; [`Options`] is the `repro`
+//! command line.
 
+pub mod figures;
 pub mod throughput;
 
+use std::path::PathBuf;
+
+use avx_channel::attacks::campaign::CampaignConfig;
 use avx_channel::{
     CalibratorKind, ConfirmConfig, DefenseKind, RecalConfig, Sampling, ScheduleKind, SimProber,
     Threshold,
@@ -74,9 +79,7 @@ pub mod paper {
 /// Builds a Linux machine + prober on `profile`, with realistic noise.
 #[must_use]
 pub fn linux_prober(profile: CpuProfile, seed: u64) -> (SimProber, LinuxTruth) {
-    let sys = LinuxSystem::build(LinuxConfig::seeded(seed));
-    let (machine, truth) = sys.into_machine(profile, seed.wrapping_add(0x9e37_79b9));
-    (SimProber::new(machine), truth)
+    linux_prober_with(LinuxConfig::seeded(seed), profile, seed)
 }
 
 /// Builds a Linux machine + prober with custom config.
@@ -105,175 +108,212 @@ pub fn calibrate(p: &mut SimProber, truth: &LinuxTruth) -> Threshold {
     Threshold::calibrate(p, truth.user.calibration, 16)
 }
 
-/// Gaussian-jitter-only noise for the §III characterization benches:
+/// Gaussian-jitter-only noise for the §III characterization figures:
 /// the paper measures those distributions on a quiescent machine where
 /// interrupt spikes are rare enough to be filtered, hence σ ≈ 1 cycle.
-/// The end-to-end attack benches keep the full noise model.
+/// The end-to-end attacks keep the full noise model.
 #[must_use]
 pub fn sigma_only_noise(profile: &CpuProfile) -> NoiseModel {
     NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0))
 }
 
-/// Number of trials for accuracy sweeps; override with the
-/// `AVX_TRIALS` environment variable (the paper uses n = 10000, which
-/// is minutes of simulation — the default keeps `cargo bench` snappy).
-#[must_use]
-pub fn accuracy_trials() -> u64 {
-    std::env::var("AVX_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60)
+/// Every `repro` setting, parsed once from the command line and the
+/// `AVX_*` environment. A flag beats its environment variable.
+#[derive(Clone, Debug)]
+pub struct Options {
+    /// The campaign sections' config. `trials` is `AVX_TRIALS` (default
+    /// 60; the paper uses 10000). `--noise` / `AVX_NOISE` (default
+    /// quiet), `--adaptive` / `AVX_ADAPTIVE` or `--fixed-budget`
+    /// (default the paper's fixed schedule), `--calibrator` /
+    /// `AVX_CALIBRATOR` (default legacy), `--recalibrate` /
+    /// `AVX_RECALIBRATE`, `--confirm` / `AVX_CONFIRM`, `--observables` /
+    /// `AVX_OBSERVABLES` (default v1), `--defense` / `AVX_DEFENSE` and
+    /// `--schedule` / `AVX_SCHEDULE` (default none) fill the rest.
+    pub campaign: CampaignConfig,
+    /// Raw `--schedule` value: a preset name, or a trace file in the
+    /// grammar of `docs/VICTIMS.md` (which leaves the preset at none).
+    pub schedule_spec: Option<String>,
+    /// `--fleet N` / `AVX_FLEET`: run the streaming population sweep of
+    /// [`avx_channel::fleet`] instead of the figure sections.
+    pub fleet: Option<u64>,
+    /// `--fleet-shards K` / `AVX_FLEET_SHARDS`: K contiguous shards
+    /// instead of the default ~1024-victim shard size.
+    pub fleet_shards: Option<u64>,
+    /// `--fleet-checkpoint <path>` / `AVX_FLEET_CHECKPOINT`:
+    /// shard-granular checkpoint/resume.
+    pub fleet_checkpoint: Option<PathBuf>,
+    /// `--fleet-max-shards M` / `AVX_FLEET_MAX_SHARDS`: run at most M
+    /// pending shards, then return (the kill-and-resume lever).
+    pub fleet_max_shards: Option<u64>,
+    /// `--bench-json <path>`: write the throughput record there instead
+    /// of reproducing the paper.
+    pub bench_json: Option<PathBuf>,
 }
 
-/// Noise environment for the campaign sections: `--noise <name>` (or
-/// `--noise=<name>`) on the command line, else the `AVX_NOISE`
-/// environment variable, else the quiet host. Unknown names fall back
-/// to quiet rather than aborting a long repro run.
-#[must_use]
-pub fn noise_profile() -> NoiseProfile {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--noise" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--noise=") {
-            from_args = Some(value.to_string());
-            break;
+/// Flags that take a value (`--name <value>` or `--name=<value>`).
+const VALUE_FLAGS: [&str; 10] = [
+    "noise",
+    "calibrator",
+    "observables",
+    "defense",
+    "schedule",
+    "fleet",
+    "fleet-shards",
+    "fleet-checkpoint",
+    "fleet-max-shards",
+    "bench-json",
+];
+
+/// Bare switches.
+const SWITCHES: [&str; 4] = ["adaptive", "fixed-budget", "recalibrate", "confirm"];
+
+impl Options {
+    /// Parses the process's arguments and environment.
+    ///
+    /// # Errors
+    /// As [`Options::parse`].
+    pub fn from_process() -> Result<Self, String> {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, |var| std::env::var(var).ok())
+    }
+
+    /// Parses `args` (without the program name), reading `AVX_*`
+    /// variables through `env`.
+    ///
+    /// # Errors
+    /// A message naming the offending flag or variable when an argument
+    /// is not a known flag, a flag lacks its value, or a value does not
+    /// parse.
+    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        check_flags(args)?;
+        // Each value travels with the name it came from.
+        let from_env = |var: &str| env(var).map(|v| (var.to_string(), v));
+        let setting = |flag: &str, var: &str| {
+            arg_value(args, flag)
+                .map(|v| (format!("--{flag}"), v))
+                .or_else(|| from_env(var))
+        };
+        let flag_set = |flag: &str| args.iter().any(|a| a.strip_prefix("--") == Some(flag));
+        let env_on = |var: &str| {
+            env(var).is_some_and(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
+        };
+        let number = |s: &str| s.parse::<u64>().ok();
+
+        let sampling = if flag_set("adaptive") || env_on("AVX_ADAPTIVE") {
+            Sampling::adaptive()
+        } else if flag_set("fixed-budget") {
+            Sampling::fixed_budget()
+        } else {
+            Sampling::Fixed
+        };
+        let schedule_spec = setting("schedule", "AVX_SCHEDULE").map(|(_, v)| v);
+        let campaign = CampaignConfig {
+            trials: parsed(from_env("AVX_TRIALS"), number, "a trial count")?.unwrap_or(60),
+            seed0: 0,
+            noise: parsed(
+                setting("noise", "AVX_NOISE"),
+                NoiseProfile::parse,
+                "quiet|smt|laptop|cloud|drift",
+            )?
+            .unwrap_or(NoiseProfile::Quiet),
+            sampling,
+            calibrator: parsed(
+                setting("calibrator", "AVX_CALIBRATOR"),
+                CalibratorKind::parse,
+                "legacy|trimmed|bimodal|noise-aware",
+            )?
+            .unwrap_or(CalibratorKind::Legacy),
+            recal: (flag_set("recalibrate") || env_on("AVX_RECALIBRATE"))
+                .then(RecalConfig::default),
+            confirm: (flag_set("confirm") || env_on("AVX_CONFIRM")).then(ConfirmConfig::default),
+            observables: parsed(
+                setting("observables", "AVX_OBSERVABLES"),
+                ObservablesVersion::parse,
+                "v1|v2",
+            )?
+            .unwrap_or(ObservablesVersion::V1),
+            defense: parsed(
+                setting("defense", "AVX_DEFENSE"),
+                DefenseKind::parse,
+                "none|masked|rerandomizing",
+            )?
+            .unwrap_or(DefenseKind::None),
+            schedule: schedule_spec
+                .as_deref()
+                .and_then(ScheduleKind::parse)
+                .unwrap_or(ScheduleKind::None),
+        };
+        Ok(Self {
+            campaign,
+            schedule_spec,
+            fleet: parsed(setting("fleet", "AVX_FLEET"), number, "a victim count")?,
+            fleet_shards: parsed(
+                setting("fleet-shards", "AVX_FLEET_SHARDS"),
+                number,
+                "a shard count",
+            )?,
+            fleet_checkpoint: setting("fleet-checkpoint", "AVX_FLEET_CHECKPOINT")
+                .map(|(_, v)| PathBuf::from(v)),
+            fleet_max_shards: parsed(
+                setting("fleet-max-shards", "AVX_FLEET_MAX_SHARDS"),
+                number,
+                "a shard count",
+            )?,
+            bench_json: arg_value(args, "bench-json").map(PathBuf::from),
+        })
+    }
+}
+
+/// Rejects anything in `args` that is not a known flag, and value
+/// flags without a value.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(flag) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument {arg:?}"));
+        };
+        let (name, inline) = match flag.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (flag, None),
+        };
+        if VALUE_FLAGS.contains(&name) {
+            if inline.is_none() && rest.next().is_none() {
+                return Err(format!("--{name} needs a value"));
+            }
+        } else if SWITCHES.contains(&name) {
+            if inline.is_some() {
+                return Err(format!("--{name} takes no value"));
+            }
+        } else {
+            return Err(format!("unknown flag --{name}"));
         }
     }
-    from_args
-        .or_else(|| std::env::var("AVX_NOISE").ok())
-        .and_then(|v| NoiseProfile::parse(&v))
-        .unwrap_or(NoiseProfile::Quiet)
+    Ok(())
 }
 
-/// Threshold estimator for the campaign sections:
-/// `--calibrator legacy|trimmed|bimodal|noise-aware` (or
-/// `--calibrator=<name>`) on the command line, else the
-/// `AVX_CALIBRATOR` environment variable, else the historical
-/// [`CalibratorKind::Legacy`] min-pulled floor. Unknown names fall
-/// back to legacy rather than aborting a long repro run.
-#[must_use]
-pub fn calibrator_kind() -> CalibratorKind {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--calibrator" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--calibrator=") {
-            from_args = Some(value.to_string());
-            break;
-        }
-    }
-    from_args
-        .or_else(|| std::env::var("AVX_CALIBRATOR").ok())
-        .and_then(|v| CalibratorKind::parse(&v))
-        .unwrap_or(CalibratorKind::Legacy)
+/// Parses a `(source, value)` setting, naming the source on failure.
+fn parsed<T>(
+    setting: Option<(String, String)>,
+    parse: impl Fn(&str) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    setting
+        .map(|(source, value)| {
+            parse(&value)
+                .ok_or_else(|| format!("{source}: cannot parse {value:?} (expected {expected})"))
+        })
+        .transpose()
 }
 
-/// Closed-loop recalibration for the campaign sections: `--recalibrate`
-/// (or `AVX_RECALIBRATE=1`) runs every sweep attack under the
-/// [`avx_channel::recal::Recalibrating`] driver with the pinned default
-/// [`RecalConfig`]. Off by default — the paper's one-shot calibration.
-#[must_use]
-pub fn recal_config() -> Option<RecalConfig> {
-    let from_args = std::env::args().any(|a| a == "--recalibrate");
-    let from_env = std::env::var("AVX_RECALIBRATE")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    (from_args || from_env).then(RecalConfig::default)
-}
-
-/// Confirmation decision layer for the campaign sections: `--confirm`
-/// (or `AVX_CONFIRM=1`) re-tests every needle-in-haystack candidate
-/// through [`avx_channel::decision`] with the pinned default
-/// [`ConfirmConfig`]. Off by default — the historical first-mapped-wins
-/// detection rules.
-#[must_use]
-pub fn confirm_config() -> Option<ConfirmConfig> {
-    let from_args = std::env::args().any(|a| a == "--confirm");
-    let from_env = std::env::var("AVX_CONFIRM")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    (from_args || from_env).then(ConfirmConfig::default)
-}
-
-/// Observables regime for the campaign sections:
-/// `--observables v1|v2` (or `--observables=<name>`) on the command
-/// line, else the `AVX_OBSERVABLES` environment variable, else the
-/// bit-exact [`ObservablesVersion::V1`] stream. Unknown names fall back
-/// to v1 rather than aborting a long repro run.
-#[must_use]
-pub fn observables_version() -> ObservablesVersion {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--observables" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--observables=") {
-            from_args = Some(value.to_string());
-            break;
-        }
-    }
-    from_args
-        .or_else(|| std::env::var("AVX_OBSERVABLES").ok())
-        .and_then(|v| ObservablesVersion::parse(&v))
-        .unwrap_or(ObservablesVersion::V1)
-}
-
-/// Victim-side defense for the campaign sections:
-/// `--defense none|masked|rerandomizing` (or `--defense=<name>`) on the
-/// command line, else the `AVX_DEFENSE` environment variable, else the
-/// undefended [`DefenseKind::None`] victim — which is architecturally
-/// silent, so the default repro output is bit-exact. Unknown names fall
-/// back to none rather than aborting a long repro run.
-#[must_use]
-pub fn defense_kind() -> DefenseKind {
-    arg_value("defense")
-        .or_else(|| std::env::var("AVX_DEFENSE").ok())
-        .and_then(|v| DefenseKind::parse(&v))
-        .unwrap_or(DefenseKind::None)
-}
-
-/// Raw victim-schedule selector for the campaign sections:
-/// `--schedule <name|trace-file>` (or `--schedule=<value>`) on the
-/// command line, else the `AVX_SCHEDULE` environment variable. The
-/// repro binary treats values that are not preset names as trace-file
-/// paths (see `docs/VICTIMS.md` for the grammar).
-#[must_use]
-pub fn schedule_spec() -> Option<String> {
-    arg_value("schedule").or_else(|| std::env::var("AVX_SCHEDULE").ok())
-}
-
-/// Victim event schedule for the campaign sections, resolved to a
-/// preset: `--schedule none|dvfs-square|cotenant-burst|module-churn`
-/// (or `AVX_SCHEDULE=<name>`), else the event-free
-/// [`ScheduleKind::None`] victim — which installs nothing, so the
-/// default repro output is bit-exact. Non-preset values (trace-file
-/// paths, typos) fall back to none here; the repro binary's schedule
-/// section separately demonstrates trace files.
-#[must_use]
-pub fn schedule_kind() -> ScheduleKind {
-    schedule_spec()
-        .and_then(|v| ScheduleKind::parse(&v))
-        .unwrap_or(ScheduleKind::None)
-}
-
-/// Value of `--<name> <value>` or `--<name>=<value>` on the command
-/// line. Exact-name match: `--fleet` never swallows `--fleet-shards`.
-fn arg_value(name: &str) -> Option<String> {
+/// Value of `--<name> <value>` or `--<name>=<value>` in `args`.
+/// Exact-name match: `--fleet` never swallows `--fleet-shards`.
+fn arg_value(args: &[String], name: &str) -> Option<String> {
     let flag = format!("--{name}");
     let prefixed = format!("--{name}=");
-    let mut args = std::env::args();
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
+        if *arg == flag {
+            return args.next().cloned();
         }
         if let Some(value) = arg.strip_prefix(&prefixed) {
             return Some(value.to_string());
@@ -282,70 +322,19 @@ fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-/// Fleet population size: `--fleet N` (or `AVX_FLEET=N`) switches the
-/// repro binary into the streaming population-sweep mode of
-/// [`avx_channel::fleet`]. `None` — the default — runs the classic
-/// figure/table repro.
-#[must_use]
-pub fn fleet_victims() -> Option<u64> {
-    arg_value("fleet")
-        .or_else(|| std::env::var("AVX_FLEET").ok())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Fleet shard count: `--fleet-shards K` (or `AVX_FLEET_SHARDS=K`)
-/// partitions the population into K contiguous shards instead of the
-/// default ~1024-victim shard size.
-#[must_use]
-pub fn fleet_shards() -> Option<u64> {
-    arg_value("fleet-shards")
-        .or_else(|| std::env::var("AVX_FLEET_SHARDS").ok())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Fleet checkpoint file: `--fleet-checkpoint <path>` (or
-/// `AVX_FLEET_CHECKPOINT=<path>`) enables shard-granular
-/// checkpoint/resume.
-#[must_use]
-pub fn fleet_checkpoint() -> Option<std::path::PathBuf> {
-    arg_value("fleet-checkpoint")
-        .or_else(|| std::env::var("AVX_FLEET_CHECKPOINT").ok())
-        .map(std::path::PathBuf::from)
-}
-
-/// Fleet per-run shard cap: `--fleet-max-shards M` (or
-/// `AVX_FLEET_MAX_SHARDS=M`) executes at most M pending shards before
-/// returning — the kill-and-resume lever the CI resume smoke uses.
-#[must_use]
-pub fn fleet_max_shards() -> Option<u64> {
-    arg_value("fleet-max-shards")
-        .or_else(|| std::env::var("AVX_FLEET_MAX_SHARDS").ok())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Probe-budget policy for the campaign sections: `--adaptive` (or
-/// `AVX_ADAPTIVE=1`) switches from the paper's fixed schedule to the
-/// SPRT engine; `--fixed-budget` selects the noise-robust fixed
-/// comparator.
-#[must_use]
-pub fn sampling_policy() -> Sampling {
-    let args: Vec<String> = std::env::args().collect();
-    let env_adaptive = std::env::var("AVX_ADAPTIVE")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    if args.iter().any(|a| a == "--adaptive") || env_adaptive {
-        Sampling::adaptive()
-    } else if args.iter().any(|a| a == "--fixed-budget") {
-        Sampling::fixed_budget()
-    } else {
-        Sampling::Fixed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use avx_channel::KernelBaseFinder;
+
+    fn parse(args: &str, env: &[(&str, &str)]) -> Result<Options, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        Options::parse(&args, |var| {
+            env.iter()
+                .find(|(name, _)| *name == var)
+                .map(|(_, value)| value.to_string())
+        })
+    }
 
     #[test]
     fn helpers_compose_into_a_working_attack() {
@@ -356,139 +345,122 @@ mod tests {
     }
 
     #[test]
-    fn trials_default_and_override() {
-        std::env::remove_var("AVX_TRIALS");
-        assert_eq!(accuracy_trials(), 60);
-    }
-
-    #[test]
-    fn noise_and_sampling_defaults_are_the_paper_setup() {
-        std::env::remove_var("AVX_NOISE");
-        std::env::remove_var("AVX_ADAPTIVE");
-        assert_eq!(noise_profile(), NoiseProfile::Quiet);
-        assert_eq!(sampling_policy(), Sampling::Fixed);
-        // Explicitly-off values of the env knob stay off.
-        for off in ["0", "", "false", "FALSE"] {
-            std::env::set_var("AVX_ADAPTIVE", off);
-            assert_eq!(sampling_policy(), Sampling::Fixed, "AVX_ADAPTIVE={off:?}");
-        }
-        std::env::set_var("AVX_ADAPTIVE", "1");
-        assert_eq!(sampling_policy(), Sampling::adaptive());
-        std::env::remove_var("AVX_ADAPTIVE");
-    }
-
-    #[test]
-    fn recalibration_defaults_off_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_RECALIBRATE");
-        assert_eq!(recal_config(), None);
-        std::env::set_var("AVX_RECALIBRATE", "1");
-        assert_eq!(recal_config(), Some(RecalConfig::default()));
-        std::env::set_var("AVX_RECALIBRATE", "0");
-        assert_eq!(recal_config(), None);
-        std::env::remove_var("AVX_RECALIBRATE");
-    }
-
-    #[test]
-    fn confirmation_defaults_off_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_CONFIRM");
-        assert_eq!(confirm_config(), None);
-        std::env::set_var("AVX_CONFIRM", "1");
-        assert_eq!(confirm_config(), Some(ConfirmConfig::default()));
-        std::env::set_var("AVX_CONFIRM", "false");
-        assert_eq!(confirm_config(), None);
-        std::env::remove_var("AVX_CONFIRM");
-    }
-
-    #[test]
-    fn observables_default_to_v1_and_honor_the_env_knob() {
-        std::env::remove_var("AVX_OBSERVABLES");
-        assert_eq!(observables_version(), ObservablesVersion::V1);
-        std::env::set_var("AVX_OBSERVABLES", "v2");
-        assert_eq!(observables_version(), ObservablesVersion::V2);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_OBSERVABLES", "v9");
-        assert_eq!(observables_version(), ObservablesVersion::V1);
-        std::env::remove_var("AVX_OBSERVABLES");
-    }
-
-    #[test]
-    fn fleet_flags_default_off_and_honor_the_env_knobs() {
-        for var in [
-            "AVX_FLEET",
-            "AVX_FLEET_SHARDS",
-            "AVX_FLEET_CHECKPOINT",
-            "AVX_FLEET_MAX_SHARDS",
-        ] {
-            std::env::remove_var(var);
-        }
-        assert_eq!(fleet_victims(), None);
-        assert_eq!(fleet_shards(), None);
-        assert_eq!(fleet_checkpoint(), None);
-        assert_eq!(fleet_max_shards(), None);
-        std::env::set_var("AVX_FLEET", "100000");
-        assert_eq!(fleet_victims(), Some(100_000));
-        std::env::set_var("AVX_FLEET_SHARDS", "4");
-        assert_eq!(fleet_shards(), Some(4));
-        std::env::set_var("AVX_FLEET_CHECKPOINT", "/tmp/ck.json");
+    fn no_input_is_the_paper_setup() {
+        let o = parse("", &[]).unwrap();
+        let c = o.campaign;
+        assert_eq!(c.trials, 60);
+        assert_eq!(c.noise, NoiseProfile::Quiet);
+        assert_eq!(c.sampling, Sampling::Fixed);
+        assert_eq!(c.calibrator, CalibratorKind::Legacy);
+        assert_eq!(c.recal, None);
+        assert_eq!(c.confirm, None);
+        assert_eq!(c.observables, ObservablesVersion::V1);
+        assert_eq!(c.defense, DefenseKind::None);
+        assert_eq!(c.schedule, ScheduleKind::None);
+        assert_eq!(o.schedule_spec, None);
         assert_eq!(
-            fleet_checkpoint(),
-            Some(std::path::PathBuf::from("/tmp/ck.json"))
+            (o.fleet, o.fleet_shards, o.fleet_max_shards),
+            (None, None, None)
         );
-        std::env::set_var("AVX_FLEET_MAX_SHARDS", "1");
-        assert_eq!(fleet_max_shards(), Some(1));
-        // Unparseable numbers fall back instead of aborting.
-        std::env::set_var("AVX_FLEET", "lots");
-        assert_eq!(fleet_victims(), None);
-        for var in [
-            "AVX_FLEET",
-            "AVX_FLEET_SHARDS",
-            "AVX_FLEET_CHECKPOINT",
-            "AVX_FLEET_MAX_SHARDS",
-        ] {
-            std::env::remove_var(var);
+        assert_eq!(o.fleet_checkpoint, None);
+        assert_eq!(o.bench_json, None);
+    }
+
+    #[test]
+    fn every_flag_parses_in_both_forms() {
+        let o = parse(
+            "--noise smt --calibrator=noise-aware --observables v2 --defense=masked \
+             --schedule dvfs-square --adaptive --recalibrate --confirm --fleet 2000 \
+             --fleet-shards=4 --fleet-checkpoint ck.json --fleet-max-shards 1 \
+             --bench-json=out.json",
+            &[],
+        )
+        .unwrap();
+        let c = o.campaign;
+        assert_eq!(c.noise, NoiseProfile::SmtSibling);
+        assert_eq!(c.calibrator, CalibratorKind::NoiseAware);
+        assert_eq!(c.observables, ObservablesVersion::V2);
+        assert_eq!(c.defense, DefenseKind::MaskedTranslation);
+        assert_eq!(c.schedule, ScheduleKind::DvfsSquare);
+        assert_eq!(c.sampling, Sampling::adaptive());
+        assert_eq!(c.recal, Some(RecalConfig::default()));
+        assert_eq!(c.confirm, Some(ConfirmConfig::default()));
+        assert_eq!(
+            (o.fleet, o.fleet_shards, o.fleet_max_shards),
+            (Some(2000), Some(4), Some(1))
+        );
+        assert_eq!(o.fleet_checkpoint, Some(PathBuf::from("ck.json")));
+        assert_eq!(o.bench_json, Some(PathBuf::from("out.json")));
+        let o = parse("--fixed-budget", &[]).unwrap();
+        assert_eq!(o.campaign.sampling, Sampling::fixed_budget());
+    }
+
+    #[test]
+    fn env_vars_stand_in_for_flags_and_flags_win() {
+        let env = [
+            ("AVX_TRIALS", "12"),
+            ("AVX_NOISE", "laptop"),
+            ("AVX_DEFENSE", "rerandomizing"),
+            ("AVX_FLEET", "100000"),
+            ("AVX_ADAPTIVE", "1"),
+            ("AVX_SCHEDULE", "/tmp/victim.trace"),
+        ];
+        let o = parse("", &env).unwrap();
+        assert_eq!(o.campaign.trials, 12);
+        assert_eq!(o.campaign.noise, NoiseProfile::LaptopDvfs);
+        assert_eq!(o.campaign.defense, DefenseKind::Rerandomizing);
+        assert_eq!(o.campaign.sampling, Sampling::adaptive());
+        assert_eq!(o.fleet, Some(100_000));
+        // A trace-file schedule leaves the preset at none.
+        assert_eq!(o.campaign.schedule, ScheduleKind::None);
+        assert_eq!(o.schedule_spec.as_deref(), Some("/tmp/victim.trace"));
+        let o = parse("--noise cloud", &env).unwrap();
+        assert_eq!(o.campaign.noise, NoiseProfile::NoisyNeighbor);
+        // Explicitly-off values of a switch variable stay off.
+        for off in ["0", "", "false", "FALSE"] {
+            let o = parse("", &[("AVX_CONFIRM", off), ("AVX_RECALIBRATE", off)]).unwrap();
+            assert_eq!(
+                (o.campaign.confirm, o.campaign.recal),
+                (None, None),
+                "{off:?}"
+            );
         }
     }
 
     #[test]
-    fn defense_defaults_to_none_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_DEFENSE");
-        assert_eq!(defense_kind(), DefenseKind::None);
-        std::env::set_var("AVX_DEFENSE", "masked");
-        assert_eq!(defense_kind(), DefenseKind::MaskedTranslation);
-        std::env::set_var("AVX_DEFENSE", "rerandomizing");
-        assert_eq!(defense_kind(), DefenseKind::Rerandomizing);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_DEFENSE", "bogus");
-        assert_eq!(defense_kind(), DefenseKind::None);
-        std::env::remove_var("AVX_DEFENSE");
+    fn unknown_flags_are_refused_by_name() {
+        for (args, named) in [
+            ("--bogus-flag", "--bogus-flag"),
+            ("--noise smt --fleets 3", "--fleets"),
+            ("--adaptive=1", "--adaptive"),
+            ("smt", "\"smt\""),
+            ("--noise", "--noise"),
+        ] {
+            let err = parse(args, &[]).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
     }
 
     #[test]
-    fn schedule_defaults_to_none_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_SCHEDULE");
-        assert_eq!(schedule_kind(), ScheduleKind::None);
-        assert_eq!(schedule_spec(), None);
-        std::env::set_var("AVX_SCHEDULE", "dvfs-square");
-        assert_eq!(schedule_kind(), ScheduleKind::DvfsSquare);
-        std::env::set_var("AVX_SCHEDULE", "cotenant-burst");
-        assert_eq!(schedule_kind(), ScheduleKind::CoTenantBurst);
-        // Non-preset values (trace-file paths) resolve to none at the
-        // preset layer but stay visible through the raw spec.
-        std::env::set_var("AVX_SCHEDULE", "/tmp/victim.trace");
-        assert_eq!(schedule_kind(), ScheduleKind::None);
-        assert_eq!(schedule_spec(), Some("/tmp/victim.trace".to_string()));
-        std::env::remove_var("AVX_SCHEDULE");
-    }
-
-    #[test]
-    fn calibrator_defaults_to_legacy_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_CALIBRATOR");
-        assert_eq!(calibrator_kind(), CalibratorKind::Legacy);
-        std::env::set_var("AVX_CALIBRATOR", "noise-aware");
-        assert_eq!(calibrator_kind(), CalibratorKind::NoiseAware);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_CALIBRATOR", "bogus");
-        assert_eq!(calibrator_kind(), CalibratorKind::Legacy);
-        std::env::remove_var("AVX_CALIBRATOR");
+    fn bad_values_are_refused_by_name() {
+        for (args, env, named) in [
+            ("--noise bogus", &[][..], "--noise"),
+            ("--defense bogus", &[][..], "--defense"),
+            ("--fleet abc", &[][..], "--fleet"),
+            ("--calibrator=bogus", &[][..], "--calibrator"),
+            ("--observables v9", &[][..], "--observables"),
+            ("--fleet-shards -1", &[][..], "--fleet-shards"),
+            ("", &[("AVX_NOISE", "bogus")][..], "AVX_NOISE"),
+            ("", &[("AVX_TRIALS", "lots")][..], "AVX_TRIALS"),
+            (
+                "",
+                &[("AVX_FLEET_MAX_SHARDS", "x")][..],
+                "AVX_FLEET_MAX_SHARDS",
+            ),
+        ] {
+            let err = parse(args, env).unwrap_err();
+            assert!(err.contains(named), "{args:?} {env:?}: {err}");
+            assert!(err.contains("cannot parse"), "{err}");
+        }
     }
 }

@@ -409,22 +409,6 @@ pub fn bench_json(m: &BenchMeasurements) -> String {
     )
 }
 
-/// `--bench-json <path>` (or `--bench-json=<path>`) on the command
-/// line: where the machine-readable throughput record should go.
-#[must_use]
-pub fn bench_json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--bench-json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(value) = arg.strip_prefix("--bench-json=") {
-            return Some(std::path::PathBuf::from(value));
-        }
-    }
-    None
-}
-
 /// Runs the standardized throughput measurement and writes the JSON
 /// record to `path` (the `repro --bench-json` entry point). Returns the
 /// measurements for console reporting.

@@ -49,7 +49,7 @@ use crate::schedule::ScheduleKind;
 use crate::stats::Trials;
 
 use super::behavior::{SpyConfig, TlbSpy};
-use super::cloud::run_scenario_scheduled;
+use super::cloud::run_scenario;
 use super::kaslr::{AmdKernelBaseFinder, KernelBaseFinder};
 use super::kpti::KptiAttack;
 use super::modules::ModuleScanner;
@@ -1252,18 +1252,7 @@ fn cloud_trial(seed: u64, config: CampaignConfig) -> TrialOutcome {
     let (mut probing, mut total) = (0.0f64, 0.0f64);
     let (mut probes, mut addresses) = (0u64, 0u64);
     for scenario in CloudScenario::all(seed) {
-        let report = run_scenario_scheduled(
-            &scenario,
-            machine_seed(seed),
-            config.noise,
-            config.sampling,
-            config.calibrator,
-            config.recal,
-            config.observables,
-            config.confirm,
-            config.defense,
-            config.schedule,
-        );
+        let report = run_scenario(&scenario, machine_seed(seed), &config);
         accuracy.record(report.base_correct);
         probing += report.probing_seconds;
         total += report.base_seconds + report.modules_seconds.unwrap_or(0.0);

@@ -12,16 +12,12 @@ use avx_mmu::VirtAddr;
 use avx_os::cloud::{CloudProvider, CloudScenario, GuestOs};
 use avx_os::linux::{LinuxSystem, KERNEL_SLOTS, MODULE_SLOTS};
 use avx_os::windows::WindowsSystem;
-use avx_uarch::{NoiseProfile, ObservablesVersion};
 
-use crate::adaptive::Sampling;
-use crate::calibrate::{CalibratorKind, Threshold};
-use crate::decision::ConfirmConfig;
-use crate::defense::{DefenseKind, DefenseRegion};
+use crate::calibrate::Threshold;
+use crate::defense::DefenseRegion;
 use crate::prober::{Prober, SimProber};
-use crate::recal::RecalConfig;
-use crate::schedule::ScheduleKind;
 
+use super::campaign::CampaignConfig;
 use super::kaslr::KernelBaseFinder;
 use super::kpti::KptiAttack;
 use super::modules::ModuleScanner;
@@ -76,183 +72,39 @@ impl fmt::Display for CloudBreakReport {
     }
 }
 
-/// Runs the full attack chain against one provider preset on a quiet
-/// host with the paper's fixed probe schedule.
-#[must_use]
-pub fn run_scenario(scenario: &CloudScenario, machine_seed: u64) -> CloudBreakReport {
-    run_scenario_with(scenario, machine_seed, NoiseProfile::Quiet, Sampling::Fixed)
-}
-
-/// Runs the full attack chain against one provider preset under an
-/// explicit noise environment and sampling policy — the cloud leg of
-/// the campaign's attack × noise grid. Calibrates with the default
-/// [`CalibratorKind::Legacy`] estimator.
-#[must_use]
-pub fn run_scenario_with(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-) -> CloudBreakReport {
-    run_scenario_calibrated(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        CalibratorKind::Legacy,
-    )
-}
-
-/// [`run_scenario_with`] under an explicit threshold estimator — what
-/// [`crate::attacks::campaign::CampaignConfig::calibrator`] threads
-/// into the cloud scenario rows.
-#[must_use]
-pub fn run_scenario_calibrated(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-) -> CloudBreakReport {
-    run_scenario_configured(scenario, machine_seed, noise, sampling, calibrator, None)
-}
-
-/// [`run_scenario_calibrated`] plus the closed-loop recalibration
-/// switch — the full set of knobs
-/// [`crate::attacks::campaign::CampaignConfig`] threads into the cloud
-/// rows. With `recal` set, every sweep of the chain (KPTI trampoline,
-/// GCE base + modules, Azure region scan) runs under
-/// [`crate::recal::Recalibrating`].
-#[must_use]
-pub fn run_scenario_configured(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-) -> CloudBreakReport {
-    run_scenario_observed(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        ObservablesVersion::V1,
-    )
-}
-
-/// [`run_scenario_configured`] under an explicit observables regime.
-/// The v1 regime is bit-exact with [`run_scenario_configured`]; v2 runs
-/// the same chain over the batched ziggurat noise kernel. Delegates to
-/// [`run_scenario_decided`] with the confirmation layer off.
-#[must_use]
-pub fn run_scenario_observed(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-) -> CloudBreakReport {
-    run_scenario_decided(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        observables,
-        None,
-    )
-}
-
-/// [`run_scenario_observed`] plus the confirmation decision layer — the
-/// full set of knobs [`crate::attacks::campaign::CampaignConfig`]
-/// threads into the cloud rows. With `confirm` set, every
-/// needle-in-haystack scan of the chain (KPTI trampoline, GCE base +
-/// modules, Azure region scan) re-tests its candidates through
+/// Runs the full attack chain against one provider preset under the
+/// campaign knobs of `config`: noise, sampling, calibrator,
+/// recalibration, confirmation, observables, defense and schedule
+/// (`trials` and `seed0` are not read; the campaign's cloud leg calls
+/// this once per guest). [`CampaignConfig::default`] is the paper's
+/// quiet host with the fixed probe schedule.
+///
+/// Each guest installs the defense over its own kernel's randomization
+/// regions — the Linux guests defend kernel text plus the module area,
+/// the Windows guest its 18-bit region — and then the victim schedule,
+/// before the chain's first probe, so the virtual wall clock covers
+/// calibration and every sweep. With `recal` set every sweep of the
+/// chain (KPTI trampoline, GCE base + modules, Azure region scan) runs
+/// under [`crate::recal::Recalibrating`]; with `confirm` set every
+/// needle-in-haystack scan re-tests its candidates through
 /// [`crate::decision`] before committing to an answer.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_decided(
+pub fn run_scenario(
     scenario: &CloudScenario,
     machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
+    config: &CampaignConfig,
 ) -> CloudBreakReport {
-    run_scenario_defended(
-        scenario,
-        machine_seed,
+    let CampaignConfig {
         noise,
         sampling,
         calibrator,
         recal,
-        observables,
         confirm,
-        DefenseKind::None,
-    )
-}
-
-/// [`run_scenario_decided`] against a defended guest: the complete set
-/// of campaign knobs. Each guest installs the defense over its own
-/// kernel's randomization regions — the Linux guests defend kernel text
-/// plus the module area, the Windows guest its 18-bit region — before
-/// the chain's first probe. [`DefenseKind::None`] is architecturally
-/// silent, so [`run_scenario_decided`] stays bit-exact.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_defended(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
-    defense: DefenseKind,
-) -> CloudBreakReport {
-    run_scenario_scheduled(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
         observables,
-        confirm,
         defense,
-        ScheduleKind::None,
-    )
-}
-
-/// [`run_scenario_defended`] against an event-driven guest: the
-/// complete set of campaign knobs. Each guest installs the victim
-/// schedule after its defense and before the chain's first probe, so
-/// the virtual wall clock covers calibration and every sweep.
-/// [`ScheduleKind::None`] is architecturally silent, so
-/// [`run_scenario_defended`] stays bit-exact.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_scheduled(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
-    defense: DefenseKind,
-    schedule: ScheduleKind,
-) -> CloudBreakReport {
+        schedule,
+        ..
+    } = *config;
     let sigma = noise.effective_sigma(&scenario.cpu.timing);
     match &scenario.guest {
         GuestOs::Linux(cfg) => {
@@ -390,10 +242,15 @@ pub fn run_scenario_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::Sampling;
 
     #[test]
     fn ec2_breaks_via_trampoline() {
-        let report = run_scenario(&CloudScenario::amazon_ec2(11), 1);
+        let report = run_scenario(
+            &CloudScenario::amazon_ec2(11),
+            1,
+            &CampaignConfig::default(),
+        );
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "KPTI trampoline");
         assert!(report.modules_detected.is_none(), "KPTI hides modules");
@@ -401,7 +258,11 @@ mod tests {
 
     #[test]
     fn gce_breaks_directly_and_sees_modules() {
-        let report = run_scenario(&CloudScenario::google_gce(12), 2);
+        let report = run_scenario(
+            &CloudScenario::google_gce(12),
+            2,
+            &CampaignConfig::default(),
+        );
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "mapped/unmapped scan");
         assert_eq!(report.modules_detected, Some(125));
@@ -410,7 +271,11 @@ mod tests {
 
     #[test]
     fn azure_derandomizes_18_bits() {
-        let report = run_scenario(&CloudScenario::microsoft_azure(13), 3);
+        let report = run_scenario(
+            &CloudScenario::microsoft_azure(13),
+            3,
+            &CampaignConfig::default(),
+        );
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "18-bit Windows region scan");
     }
@@ -419,9 +284,21 @@ mod tests {
     fn runtimes_ordered_like_the_paper() {
         // EC2/GCE kernel-base runtimes are sub-millisecond-ish; Azure's
         // 18-bit scan is orders of magnitude longer (paper: 2.06 s).
-        let ec2 = run_scenario(&CloudScenario::amazon_ec2(21), 4);
-        let gce = run_scenario(&CloudScenario::google_gce(22), 5);
-        let azure = run_scenario(&CloudScenario::microsoft_azure(23), 6);
+        let ec2 = run_scenario(
+            &CloudScenario::amazon_ec2(21),
+            4,
+            &CampaignConfig::default(),
+        );
+        let gce = run_scenario(
+            &CloudScenario::google_gce(22),
+            5,
+            &CampaignConfig::default(),
+        );
+        let azure = run_scenario(
+            &CloudScenario::microsoft_azure(23),
+            6,
+            &CampaignConfig::default(),
+        );
         assert!(ec2.base_seconds < 0.1, "{}", ec2.base_seconds);
         assert!(gce.base_seconds < 0.1, "{}", gce.base_seconds);
         assert!(
@@ -434,18 +311,12 @@ mod tests {
     fn adaptive_cloud_chain_stays_correct_and_spends_fewer_probes() {
         // The comparator is the noise-robust fixed budget: what the
         // fixed path must spend per address to survive noisy profiles.
-        let fixed = run_scenario_with(
-            &CloudScenario::google_gce(41),
-            8,
-            NoiseProfile::Quiet,
-            Sampling::fixed_budget(),
-        );
-        let adaptive = run_scenario_with(
-            &CloudScenario::google_gce(41),
-            8,
-            NoiseProfile::Quiet,
-            Sampling::adaptive(),
-        );
+        let run = |sampling| {
+            let config = CampaignConfig::default().with_sampling(sampling);
+            run_scenario(&CloudScenario::google_gce(41), 8, &config)
+        };
+        let fixed = run(Sampling::fixed_budget());
+        let adaptive = run(Sampling::adaptive());
         assert!(fixed.base_correct, "{fixed}");
         assert!(adaptive.base_correct, "{adaptive}");
         assert_eq!(adaptive.modules_detected, fixed.modules_detected);
@@ -460,7 +331,11 @@ mod tests {
 
     #[test]
     fn report_display_is_informative() {
-        let report = run_scenario(&CloudScenario::google_gce(31), 7);
+        let report = run_scenario(
+            &CloudScenario::google_gce(31),
+            7,
+            &CampaignConfig::default(),
+        );
         let text = report.to_string();
         assert!(text.contains("Google GCE"));
         assert!(text.contains("correct"));

@@ -20,7 +20,7 @@ pub mod windows;
 
 pub use behavior::{AppFingerprinter, BehaviourTrace, SpyConfig, TlbSpy};
 pub use campaign::{table1, Campaign, CampaignConfig, CampaignRow, Scenario, TrialOutcome};
-pub use cloud::{run_scenario, run_scenario_defended, CloudBreakReport};
+pub use cloud::{run_scenario, CloudBreakReport};
 pub use kaslr::{AmdKaslrScan, AmdKernelBaseFinder, KaslrScan, KernelBaseFinder};
 pub use kpti::{KptiAttack, KptiConfidence, KptiScan};
 pub use modules::{

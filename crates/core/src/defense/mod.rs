@@ -42,7 +42,7 @@
 
 pub mod point_checks;
 
-pub use point_checks::{evaluate_fgkaslr, evaluate_flare, FgkaslrEval, FlareEval};
+pub use point_checks::{evaluate_fgkaslr, evaluate_flare, FgkaslrEval, FlareEval, MaskedOpSurvey};
 
 use core::fmt;
 

@@ -1,5 +1,5 @@
-//! The §V static point checks — FLARE and FGKASLR — folded into the
-//! defense-evaluation site.
+//! The §V static point checks — FLARE, FGKASLR and the masked-op
+//! usage survey — folded into the defense-evaluation site.
 //!
 //! Unlike the dynamic menu in [`super`], these two defenses change how
 //! the victim's layout is *built* (dummy mappings, shuffled
@@ -7,8 +7,7 @@
 //! without violating fixture immutability. They stay what the paper
 //! made them — point checks against purpose-built systems — but they
 //! live here so there is exactly one defense-evaluation site
-//! (invariant 12). `crate::countermeasures` re-exports them for
-//! compatibility.
+//! (invariant 12).
 //!
 //! * **FLARE** \[5\] maps dummy pages over unmapped kernel ranges so the
 //!   page-table attack (P2) sees a uniform picture. The bypass: dummy
@@ -18,6 +17,11 @@
 //!   base is still recoverable (the image location does not change) and
 //!   a TLB template attack locates the *page* of a target function by
 //!   triggering the corresponding syscall.
+//! * **Masked-op replacement** (§V-B): executing `VMASKMOV` with an
+//!   all-zero mask as a NOP would close the channel; the paper surveys
+//!   a default Ubuntu install and finds only 6 of 4104 executables use
+//!   the instruction at all. The byte-level scanner lives in `avx-hw`;
+//!   [`MaskedOpSurvey`] is the impact analysis over its counts.
 
 use core::fmt;
 
@@ -200,6 +204,56 @@ pub fn evaluate_fgkaslr(profile: CpuProfile, seed: u64, function: &str) -> Fgkas
     }
 }
 
+/// The §V-B deployment analysis of replacing all-zero-mask masked ops
+/// with NOPs, fed by a binary survey (see `avx-hw`'s scanner).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MaskedOpSurvey {
+    /// Executables scanned.
+    pub total: usize,
+    /// Executables containing at least one masked load/store.
+    pub containing: usize,
+}
+
+impl MaskedOpSurvey {
+    /// The paper's Ubuntu 20.04.3 default-install numbers.
+    #[must_use]
+    pub const fn paper_reference() -> Self {
+        Self {
+            total: 4104,
+            containing: 6,
+        }
+    }
+
+    /// Fraction of binaries a NOP-replacement mitigation could affect.
+    #[must_use]
+    pub fn affected_fraction(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.containing as f64 / self.total as f64
+        }
+    }
+
+    /// The paper's conclusion: the mitigation has "little impact on the
+    /// system" — operationalized as < 1 % of binaries affected.
+    #[must_use]
+    pub fn low_impact(&self) -> bool {
+        self.affected_fraction() < 0.01
+    }
+}
+
+impl fmt::Display for MaskedOpSurvey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} of {} executables contain masked ops ({:.3}%)",
+            self.containing,
+            self.total,
+            self.affected_fraction() * 100.0
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,37 +281,26 @@ mod tests {
         assert_ne!(a.function_page, b.function_page);
     }
 
-    /// The migration parity pin: the legacy `crate::countermeasures`
-    /// path and the canonical defense-site path are the same functions
-    /// and produce identical headline verdicts.
     #[test]
-    fn countermeasures_shim_is_parity_with_defense_site() {
-        let via_defense = evaluate_flare(CpuProfile::alder_lake_i5_12400f(), 3);
-        let via_shim =
-            crate::countermeasures::evaluate_flare(CpuProfile::alder_lake_i5_12400f(), 3);
-        assert_eq!(
-            via_shim.page_table_defeated,
-            via_defense.page_table_defeated
-        );
-        assert_eq!(
-            via_shim.page_table_mapped_slots,
-            via_defense.page_table_mapped_slots
-        );
-        assert_eq!(via_shim.tlb_base, via_defense.tlb_base);
-        assert_eq!(via_shim.tlb_correct, via_defense.tlb_correct);
+    fn survey_reference_numbers() {
+        let s = MaskedOpSurvey::paper_reference();
+        assert_eq!(s.total, 4104);
+        assert_eq!(s.containing, 6);
+        assert!(s.low_impact());
+        assert!(s.to_string().contains("6 of 4104"));
+    }
 
-        let fg_defense = evaluate_fgkaslr(CpuProfile::alder_lake_i5_12400f(), 4, "commit_creds");
-        let fg_shim = crate::countermeasures::evaluate_fgkaslr(
-            CpuProfile::alder_lake_i5_12400f(),
-            4,
-            "commit_creds",
-        );
-        assert_eq!(fg_shim.base, fg_defense.base);
-        assert_eq!(fg_shim.base_correct, fg_defense.base_correct);
-        assert_eq!(fg_shim.function_page, fg_defense.function_page);
-        assert_eq!(
-            fg_shim.function_page_correct,
-            fg_defense.function_page_correct
-        );
+    #[test]
+    fn survey_edge_cases() {
+        let empty = MaskedOpSurvey {
+            total: 0,
+            containing: 0,
+        };
+        assert_eq!(empty.affected_fraction(), 0.0);
+        let heavy = MaskedOpSurvey {
+            total: 100,
+            containing: 50,
+        };
+        assert!(!heavy.low_impact());
     }
 }

@@ -20,8 +20,8 @@
 //! | Behaviour inference | §IV-E, Fig. 6 | [`attacks::TlbSpy`] |
 //! | User-space / SGX | §IV-F, Fig. 7 | [`attacks::UserSpaceScanner`] |
 //! | Windows 10 / KVAS | §IV-G | [`attacks::WindowsKaslrAttack`] |
-//! | Cloud guests | §IV-H | [`attacks::run_scenario`] |
-//! | Defense analysis | §V | [`defense`] (legacy shim: [`countermeasures`]) |
+//! | Cloud guests | §IV-H | [`attacks::run_scenario`] under an [`attacks::CampaignConfig`] |
+//! | Defense analysis | §V | [`defense`], [`defense::point_checks`] |
 //!
 //! Attacks are generic over [`Prober`]; [`SimProber`] runs them against
 //! the deterministic microarchitectural simulator, while the `avx-hw`
@@ -52,7 +52,6 @@
 pub mod adaptive;
 pub mod attacks;
 pub mod calibrate;
-pub mod countermeasures;
 pub mod decision;
 pub mod defense;
 pub mod fleet;

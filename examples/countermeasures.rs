@@ -5,7 +5,7 @@
 //! cargo run --release --example countermeasures
 //! ```
 
-use avx_channel::countermeasures::{evaluate_fgkaslr, evaluate_flare, MaskedOpSurvey};
+use avx_channel::defense::point_checks::{evaluate_fgkaslr, evaluate_flare, MaskedOpSurvey};
 use avx_hw::scan::{survey_corpus, synthetic_corpus};
 use avx_uarch::CpuProfile;
 

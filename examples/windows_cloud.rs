@@ -5,6 +5,7 @@
 //! cargo run --release --example windows_cloud
 //! ```
 
+use avx_channel::attacks::campaign::CampaignConfig;
 use avx_channel::attacks::cloud::run_scenario;
 use avx_channel::attacks::windows::kernel_base_from_shadow;
 use avx_channel::report::fmt_seconds;
@@ -86,7 +87,7 @@ fn windows_kvas() {
 fn clouds() {
     println!("== cloud guests ==");
     for scenario in CloudScenario::all(1234) {
-        let report = run_scenario(&scenario, 23);
+        let report = run_scenario(&scenario, 23, &CampaignConfig::default());
         println!("{report}");
         assert!(report.base_correct);
     }

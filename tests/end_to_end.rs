@@ -2,6 +2,7 @@
 //! against freshly randomized systems, with realistic noise enabled.
 
 use avx_aslr::channel::attacks::behavior::{SpyConfig, TlbSpy};
+use avx_aslr::channel::attacks::campaign::CampaignConfig;
 use avx_aslr::channel::attacks::cloud::run_scenario;
 use avx_aslr::channel::attacks::modules::score;
 use avx_aslr::channel::attacks::userspace::{LibraryMatcher, UserSpaceScanner};
@@ -182,7 +183,7 @@ fn windows_region_and_kvas_breaks() {
 #[test]
 fn all_cloud_scenarios_break() {
     for scenario in CloudScenario::all(4242) {
-        let report = run_scenario(&scenario, 17);
+        let report = run_scenario(&scenario, 17, &CampaignConfig::default());
         assert!(report.base_correct, "{report}");
     }
 }

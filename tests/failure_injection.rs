@@ -1,7 +1,7 @@
 //! Failure injection: the attacks under hostile measurement conditions
 //! and against defense-hardened layouts.
 
-use avx_aslr::channel::countermeasures::evaluate_flare;
+use avx_aslr::channel::defense::point_checks::evaluate_flare;
 use avx_aslr::channel::{KernelBaseFinder, ProbeStrategy, Prober, SimProber, Threshold};
 use avx_aslr::os::linux::{LinuxConfig, LinuxSystem};
 use avx_aslr::os::ExecutionContext;
