@@ -259,24 +259,10 @@ fn schedules(o: &Options) {
 /// user-authored victim schedule (the trace grammar of
 /// `docs/VICTIMS.md`), reported alongside the preset menu.
 fn trace_demo(o: &Options) {
-    let Some(spec) = &o.schedule_spec else { return };
-    if ScheduleKind::parse(spec).is_some() {
+    let Some((spec, text)) = &o.schedule_trace else {
         return;
-    }
-    let text = match std::fs::read_to_string(spec) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("  trace schedule {spec:?}: unreadable ({err}); demo skipped");
-            return;
-        }
     };
-    let sched = match VictimSchedule::from_trace(&text, 77) {
-        Ok(sched) => sched,
-        Err(err) => {
-            println!("  trace schedule {spec:?}: {err}; demo skipped");
-            return;
-        }
-    };
+    let sched = VictimSchedule::from_trace(text, 77).expect("trace checked by Options::parse");
     let profile = CpuProfile::alder_lake_i5_12400f();
     let (mut p, truth) = linux_prober(profile.clone(), 77);
     // Mirror the campaign install order and attacker tooling: the

@@ -19,7 +19,7 @@ use avx_channel::{
     Threshold,
 };
 use avx_os::linux::{LinuxConfig, LinuxSystem, LinuxTruth};
-use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, ObservablesVersion};
+use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, ObservablesVersion, VictimSchedule};
 
 /// The paper's published numbers, used for side-by-side reporting.
 pub mod paper {
@@ -130,9 +130,10 @@ pub struct Options {
     /// `AVX_OBSERVABLES` (default v1), `--defense` / `AVX_DEFENSE` and
     /// `--schedule` / `AVX_SCHEDULE` (default none) fill the rest.
     pub campaign: CampaignConfig,
-    /// Raw `--schedule` value: a preset name, or a trace file in the
-    /// grammar of `docs/VICTIMS.md` (which leaves the preset at none).
-    pub schedule_spec: Option<String>,
+    /// `--schedule <trace-file>`: the file's path and text, already
+    /// checked against the trace grammar of `docs/VICTIMS.md`. A trace
+    /// leaves the campaign's preset at none.
+    pub schedule_trace: Option<(String, String)>,
     /// `--fleet N` / `AVX_FLEET`: run the streaming population sweep of
     /// [`avx_channel::fleet`] instead of the figure sections.
     pub fleet: Option<u64>,
@@ -206,7 +207,13 @@ impl Options {
         } else {
             Sampling::Fixed
         };
-        let schedule_spec = setting("schedule", "AVX_SCHEDULE").map(|(_, v)| v);
+        let (schedule, schedule_trace) = match setting("schedule", "AVX_SCHEDULE") {
+            None => (ScheduleKind::None, None),
+            Some((source, value)) => match ScheduleKind::parse(&value) {
+                Some(kind) => (kind, None),
+                None => (ScheduleKind::None, Some(read_trace(&source, value)?)),
+            },
+        };
         let campaign = CampaignConfig {
             trials: parsed(from_env("AVX_TRIALS"), number, "a trial count")?.unwrap_or(60),
             seed0: 0,
@@ -238,14 +245,11 @@ impl Options {
                 "none|masked|rerandomizing",
             )?
             .unwrap_or(DefenseKind::None),
-            schedule: schedule_spec
-                .as_deref()
-                .and_then(ScheduleKind::parse)
-                .unwrap_or(ScheduleKind::None),
+            schedule,
         };
         Ok(Self {
             campaign,
-            schedule_spec,
+            schedule_trace,
             fleet: parsed(setting("fleet", "AVX_FLEET"), number, "a victim count")?,
             fleet_shards: parsed(
                 setting("fleet-shards", "AVX_FLEET_SHARDS"),
@@ -289,6 +293,20 @@ fn check_flags(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Reads the trace file a non-preset `--schedule` value names and
+/// checks it parses, naming `source` on failure.
+fn read_trace(source: &str, path: String) -> Result<(String, String), String> {
+    let text = std::fs::read_to_string(&path).map_err(|err| {
+        format!(
+            "{source}: cannot parse {path:?} (expected \
+             none|dvfs-square|cotenant-burst|module-churn or a trace file: {err})"
+        )
+    })?;
+    VictimSchedule::from_trace(&text, 0)
+        .map_err(|err| format!("{source}: cannot parse trace {path:?}: {err}"))?;
+    Ok((path, text))
 }
 
 /// Parses a `(source, value)` setting, naming the source on failure.
@@ -357,7 +375,7 @@ mod tests {
         assert_eq!(c.observables, ObservablesVersion::V1);
         assert_eq!(c.defense, DefenseKind::None);
         assert_eq!(c.schedule, ScheduleKind::None);
-        assert_eq!(o.schedule_spec, None);
+        assert_eq!(o.schedule_trace, None);
         assert_eq!(
             (o.fleet, o.fleet_shards, o.fleet_max_shards),
             (None, None, None)
@@ -400,30 +418,69 @@ mod tests {
         let env = [
             ("AVX_TRIALS", "12"),
             ("AVX_NOISE", "laptop"),
+            ("AVX_CALIBRATOR", "noise-aware"),
+            ("AVX_RECALIBRATE", "1"),
+            ("AVX_CONFIRM", "1"),
+            ("AVX_OBSERVABLES", "v2"),
             ("AVX_DEFENSE", "rerandomizing"),
-            ("AVX_FLEET", "100000"),
+            ("AVX_SCHEDULE", "cotenant-burst"),
             ("AVX_ADAPTIVE", "1"),
-            ("AVX_SCHEDULE", "/tmp/victim.trace"),
+            ("AVX_FLEET", "100000"),
+            ("AVX_FLEET_SHARDS", "8"),
+            ("AVX_FLEET_CHECKPOINT", "fleet.ckpt"),
+            ("AVX_FLEET_MAX_SHARDS", "3"),
         ];
         let o = parse("", &env).unwrap();
-        assert_eq!(o.campaign.trials, 12);
-        assert_eq!(o.campaign.noise, NoiseProfile::LaptopDvfs);
-        assert_eq!(o.campaign.defense, DefenseKind::Rerandomizing);
-        assert_eq!(o.campaign.sampling, Sampling::adaptive());
-        assert_eq!(o.fleet, Some(100_000));
-        // A trace-file schedule leaves the preset at none.
-        assert_eq!(o.campaign.schedule, ScheduleKind::None);
-        assert_eq!(o.schedule_spec.as_deref(), Some("/tmp/victim.trace"));
-        let o = parse("--noise cloud", &env).unwrap();
+        let c = o.campaign;
+        assert_eq!(c.trials, 12);
+        assert_eq!(c.noise, NoiseProfile::LaptopDvfs);
+        assert_eq!(c.calibrator, CalibratorKind::NoiseAware);
+        assert_eq!(c.recal, Some(RecalConfig::default()));
+        assert_eq!(c.confirm, Some(ConfirmConfig::default()));
+        assert_eq!(c.observables, ObservablesVersion::V2);
+        assert_eq!(c.defense, DefenseKind::Rerandomizing);
+        assert_eq!(c.schedule, ScheduleKind::CoTenantBurst);
+        assert_eq!(c.sampling, Sampling::adaptive());
+        assert_eq!(
+            (o.fleet, o.fleet_shards, o.fleet_max_shards),
+            (Some(100_000), Some(8), Some(3))
+        );
+        assert_eq!(o.fleet_checkpoint, Some(PathBuf::from("fleet.ckpt")));
+        assert_eq!(o.schedule_trace, None);
+        let o = parse("--noise cloud --schedule dvfs-square", &env).unwrap();
         assert_eq!(o.campaign.noise, NoiseProfile::NoisyNeighbor);
+        assert_eq!(o.campaign.schedule, ScheduleKind::DvfsSquare);
         // Explicitly-off values of a switch variable stay off.
         for off in ["0", "", "false", "FALSE"] {
-            let o = parse("", &[("AVX_CONFIRM", off), ("AVX_RECALIBRATE", off)]).unwrap();
-            assert_eq!(
-                (o.campaign.confirm, o.campaign.recal),
-                (None, None),
-                "{off:?}"
-            );
+            let env = [
+                ("AVX_CONFIRM", off),
+                ("AVX_RECALIBRATE", off),
+                ("AVX_ADAPTIVE", off),
+            ];
+            let c = parse("", &env).unwrap().campaign;
+            assert_eq!((c.confirm, c.recal), (None, None), "{off:?}");
+            assert_eq!(c.sampling, Sampling::Fixed, "{off:?}");
+        }
+    }
+
+    #[test]
+    fn a_trace_file_schedule_is_read_and_checked() {
+        let good = std::env::temp_dir().join(format!("avx-bench-{}.trace", std::process::id()));
+        let bad = good.with_extension("broken");
+        std::fs::write(&good, "ops-per-tick 32\nevery 4 8 noise laptop\n").unwrap();
+        std::fs::write(&bad, "every 4 8 noise nowhere\n").unwrap();
+        let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+        let o = parse("", &[("AVX_SCHEDULE", good)]).unwrap();
+        // A trace-file schedule leaves the preset at none.
+        assert_eq!(o.campaign.schedule, ScheduleKind::None);
+        let (path, text) = o.schedule_trace.unwrap();
+        assert_eq!(path, good);
+        assert!(text.starts_with("ops-per-tick 32"));
+        let err = parse(&format!("--schedule {bad}"), &[]).unwrap_err();
+        assert!(err.contains("--schedule"), "{err}");
+        assert!(err.contains("trace line 1"), "{err}");
+        for path in [good, bad] {
+            std::fs::remove_file(path).unwrap();
         }
     }
 
@@ -450,6 +507,8 @@ mod tests {
             ("--calibrator=bogus", &[][..], "--calibrator"),
             ("--observables v9", &[][..], "--observables"),
             ("--fleet-shards -1", &[][..], "--fleet-shards"),
+            ("--schedule module-chrun", &[][..], "--schedule"),
+            ("", &[("AVX_SCHEDULE", "dvfs-sqaure")][..], "AVX_SCHEDULE"),
             ("", &[("AVX_NOISE", "bogus")][..], "AVX_NOISE"),
             ("", &[("AVX_TRIALS", "lots")][..], "AVX_TRIALS"),
             (

@@ -204,15 +204,9 @@ fn survey_counts_match_the_paper_exactly() {
 }
 
 #[test]
-fn every_artefact_renders_a_repro_section() {
-    let config = CampaignConfig::new(1, 0);
+fn artefact_names_are_unique() {
     let mut names: Vec<&str> = ALL.iter().map(|a| a.name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 16);
-    for artefact in &ALL {
-        let text = (artefact.run)(&config).to_string();
-        assert!(text.starts_with("\n## "), "{}: {text}", artefact.name);
-        assert!(text.ends_with('\n'), "{}", artefact.name);
-    }
+    assert_eq!(names.len(), ALL.len());
 }
