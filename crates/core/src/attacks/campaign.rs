@@ -34,7 +34,9 @@ use avx_os::cloud::CloudScenario;
 use avx_os::linux::{LinuxConfig, LinuxSystem, KERNEL_SLOTS, KPTI_TRAMPOLINE_OFFSET, MODULE_SLOTS};
 use avx_os::process::{build_process, ImageSignature};
 use avx_os::windows::{WindowsConfig, WindowsSystem};
-use avx_uarch::{CpuProfile, Machine, NoiseProfile, ObservablesVersion, Vendor};
+use avx_uarch::{
+    CpuProfile, Machine, NoiseModel, NoiseProfile, NoiseStream, ObservablesVersion, Vendor,
+};
 
 use crate::adaptive::{AdaptiveSampler, Sampling};
 use crate::calibrate::{CalibrationFit, CalibratorKind, Threshold};
@@ -47,6 +49,7 @@ use crate::recal::RecalConfig;
 use crate::report::fmt_seconds;
 use crate::schedule::ScheduleKind;
 use crate::stats::Trials;
+use crate::tape::{CostTape, TapeProber, TapeRecorder};
 
 use super::behavior::{SpyConfig, TlbSpy};
 use super::cloud::run_scenario;
@@ -187,6 +190,35 @@ impl CampaignConfig {
     pub fn with_schedule(mut self, schedule: ScheduleKind) -> Self {
         self.schedule = schedule;
         self
+    }
+
+    /// Whether an attack under this config is open-loop against an
+    /// inert victim: the op sequence is fixed in advance (fixed or
+    /// fixed-budget sampling, no recalibration, no confirmation) and
+    /// the victim never changes its own translations (no defense, no
+    /// event schedule). Noise preset, drift, observables regime and
+    /// calibrator are free: they move readings, never ops. Under such a
+    /// config a trial's translation costs are a function of its layout
+    /// alone, which is what lets the fleet replay cost tapes
+    /// ([`crate::tape`]).
+    #[must_use]
+    pub fn is_open_loop(&self) -> bool {
+        matches!(self.sampling, Sampling::Fixed | Sampling::FixedBudget(_))
+            && self.recal.is_none()
+            && self.confirm.is_none()
+            && self.defense == DefenseKind::None
+            && self.schedule == ScheduleKind::None
+    }
+
+    /// The noise stream of the victim machine a trial seeded `seed`
+    /// runs on `profile` — the one definition of a victim's noise, used
+    /// by the simulated machine and by a cost-tape replay alike.
+    #[must_use]
+    pub fn victim_noise(&self, profile: &CpuProfile, seed: u64) -> NoiseStream {
+        let mut noise = NoiseStream::new(&profile.timing, machine_seed(seed));
+        noise.set_profile(self.noise, &profile.timing);
+        noise.set_observables(self.observables);
+        noise
     }
 
     /// The adaptive sampler this config induces for a calibration fit
@@ -539,6 +571,71 @@ impl Scenario {
             (Scenario::Cloud, TrialFixture::Inline) => cloud_trial(seed, config),
             (scenario, _) => panic!("fixture kind does not match scenario {scenario}"),
         }
+    }
+
+    /// Whether this scenario's trials under `config` can be replayed
+    /// from a per-layout [`CostTape`]: the kernel-base scan under an
+    /// open-loop config ([`CampaignConfig::is_open_loop`]).
+    #[must_use]
+    pub fn replays(self, config: &CampaignConfig) -> bool {
+        self == Scenario::KernelBase && config.is_open_loop()
+    }
+
+    /// Records the cost tape of `fixture`: the trial's attack body run
+    /// once on a noise-free snapshot machine. Every trial against this
+    /// fixture on `profile` under `config` issues exactly this op
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Scenario::replays`] holds for `config`, or when
+    /// the fixture kind does not match the scenario.
+    #[must_use]
+    pub fn record_tape(
+        self,
+        profile: &CpuProfile,
+        fixture: &TrialFixture,
+        config: CampaignConfig,
+    ) -> CostTape {
+        assert!(
+            self.replays(&config),
+            "{self} trials under this config are not open-loop"
+        );
+        let TrialFixture::Linux(sys) = fixture else {
+            panic!("fixture kind does not match scenario {self}");
+        };
+        let (mut machine, truth) = sys.machine(profile.clone(), 0);
+        machine.set_noise(NoiseModel::none());
+        let mut recorder = TapeRecorder::new(machine);
+        let _ = kernel_base_attack(&mut recorder, profile, &truth, config);
+        recorder.into_tape()
+    }
+
+    /// [`Scenario::run_trial_with`] by replay: `tape` (recorded by
+    /// [`Scenario::record_tape`] from the same fixture, profile and
+    /// config) measured under the trial's own noise stream. Returns
+    /// the identical outcome without simulating translation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trial's op stream differs from the tape's, or
+    /// when the fixture kind does not match the scenario.
+    #[must_use]
+    pub fn replay_trial(
+        self,
+        profile: &CpuProfile,
+        fixture: &TrialFixture,
+        tape: &CostTape,
+        seed: u64,
+        config: CampaignConfig,
+    ) -> TrialOutcome {
+        let TrialFixture::Linux(sys) = fixture else {
+            panic!("fixture kind does not match scenario {self}");
+        };
+        let mut p = TapeProber::new(tape, config.victim_noise(profile, seed), profile);
+        let outcome = kernel_base_attack(&mut p, profile, sys.truth(), config);
+        p.finish();
+        outcome
     }
 
     /// Runs the scenario's full campaign against one CPU profile:
@@ -918,29 +1015,48 @@ fn linux_defense_regions() -> [DefenseRegion; 2] {
     ]
 }
 
-/// Machine + calibrated prober over a copy-on-write snapshot of a
-/// prebuilt Linux system, running under the campaign's noise
-/// environment, defense and event schedule, calibrating with the
-/// campaign's estimator. The defense and schedule are installed on the
-/// snapshot machine before the first probe (so a re-randomizing victim
-/// or churning schedule only ever mutates its clone), and before
+/// The victim machine of one trial: a copy-on-write snapshot of a
+/// prebuilt Linux system running under the campaign's noise
+/// environment, defense and event schedule. The defense and schedule
+/// are installed before the first probe (so a re-randomizing victim or
+/// churning schedule only ever mutates its clone), and before
 /// calibration (the attacker calibrates against the defended,
 /// event-driven victim, like on real silicon).
+fn linux_machine(
+    profile: &CpuProfile,
+    sys: &LinuxSystem,
+    seed: u64,
+    config: CampaignConfig,
+) -> (Machine, avx_os::LinuxTruth) {
+    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
+    machine.set_noise_stream(config.victim_noise(profile, seed));
+    config
+        .defense
+        .install(&mut machine, &linux_defense_regions(), seed);
+    config.schedule.install(&mut machine, config.noise, seed);
+    (machine, truth)
+}
+
+/// Calibrates with the campaign's estimator on the attacker's own
+/// calibration page (§IV-B).
+fn calibrate<P: Prober + ?Sized>(
+    p: &mut P,
+    truth: &avx_os::LinuxTruth,
+    config: CampaignConfig,
+) -> CalibrationFit {
+    Threshold::calibrate_with(p, truth.user.calibration, 16, config.calibrator)
+}
+
+/// [`linux_machine`] plus a calibrated prober over it.
 fn linux_prober(
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> (SimProber, avx_os::LinuxTruth, CalibrationFit) {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config
-        .defense
-        .install(&mut machine, &linux_defense_regions(), seed);
-    config.schedule.install(&mut machine, config.noise, seed);
+    let (machine, truth) = linux_machine(profile, sys, seed, config);
     let mut p = SimProber::new(machine);
-    let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
+    let fit = calibrate(&mut p, &truth, config);
     (p, truth, fit)
 }
 
@@ -954,7 +1070,21 @@ fn kernel_base_trial(
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
+    let (machine, truth) = linux_machine(profile, sys, seed, config);
+    kernel_base_attack(&mut SimProber::new(machine), profile, &truth, config)
+}
+
+/// The kernel-base attack body — calibration, scan, scoring — against
+/// an installed victim. One definition serves the simulated trial
+/// ([`SimProber`]), the tape recording ([`TapeRecorder`]) and the
+/// replayed trial ([`TapeProber`]).
+fn kernel_base_attack<P: Prober + ?Sized>(
+    p: &mut P,
+    profile: &CpuProfile,
+    truth: &avx_os::LinuxTruth,
+    config: CampaignConfig,
+) -> TrialOutcome {
+    let fit = calibrate(p, truth, config);
     let mut finder = KernelBaseFinder::new(fit.threshold);
     if let Some(sampler) = config.sampler_for(profile, &fit) {
         finder = finder.with_adaptive(sampler);
@@ -968,7 +1098,7 @@ fn kernel_base_trial(
     if let Some(confirm) = config.confirm {
         finder = finder.with_confirmation(confirm);
     }
-    let scan = finder.scan(&mut p);
+    let scan = finder.scan(p);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
     TrialOutcome {
@@ -987,13 +1117,7 @@ fn amd_base_trial(
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config
-        .defense
-        .install(&mut machine, &linux_defense_regions(), seed);
-    config.schedule.install(&mut machine, config.noise, seed);
+    let (machine, truth) = linux_machine(profile, sys, seed, config);
     let mut p = SimProber::new(machine);
     let mut finder = AmdKernelBaseFinder::for_default_kernel();
     if let Some(filter) = config.sampling.min_filter() {
@@ -1156,8 +1280,7 @@ fn userspace_trial(
         .map(own, PageSize::Size4K, PteFlags::user_ro())
         .expect("calibration page free");
     let mut machine = Machine::new(profile.clone(), space, machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
+    machine.set_noise_stream(config.victim_noise(profile, seed));
     config.schedule.install(&mut machine, config.noise, seed);
     let mut p = SimProber::new(machine);
     let (perm, fit) = PermissionAttack::calibrate_with(&mut p, own, config.calibrator);
@@ -1213,8 +1336,7 @@ fn windows_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
+    machine.set_noise_stream(config.victim_noise(profile, seed));
     config
         .defense
         .install(&mut machine, &[DefenseRegion::windows_kernel()], seed);

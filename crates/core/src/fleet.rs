@@ -23,6 +23,13 @@
 //!   per-victim address space an O(1) clone of a pooled layout, so a
 //!   million victims never build a million systems. Fixtures are never
 //!   mutated (ARCHITECTURE.md invariant 5).
+//! * **Simulate each layout once.** Under an open-loop config
+//!   ([`Scenario::replays`]) a victim differs from the other victims of
+//!   its layout only in its noise stream, so [`Fleet::run`] records one
+//!   [`CostTape`] per pooled layout and replays every victim through
+//!   its own stream instead of re-simulating translation — bit-identical
+//!   to the full simulation [`Fleet::run_victim`] (ARCHITECTURE.md
+//!   invariant 15). Every other config simulates each victim.
 //! * **Streaming incremental aggregation.** Each shard folds its
 //!   victims into a [`FleetReducer`] — hits, probes, per-victim
 //!   probe-count moments, accuracy, and the confirmation
@@ -65,6 +72,7 @@ use avx_uarch::CpuProfile;
 use crate::attacks::campaign::{CampaignConfig, Scenario, TrialFixture, TrialOutcome};
 use crate::attacks::KptiConfidence;
 use crate::stats::Trials;
+use crate::tape::CostTape;
 
 // ---------------------------------------------------------------------
 // Seed derivation — the single chokepoint.
@@ -559,16 +567,56 @@ impl Fleet {
             .collect()
     }
 
-    /// Runs victim `idx` against the pooled fixtures. The trial seed is
-    /// the victim's own [`victim_seed`]; the layout is `pool[idx %
-    /// pool.len()]`.
+    /// Records one [`CostTape`] per pooled layout, in parallel, when
+    /// the fleet's trials replay ([`Scenario::replays`]); `None` when
+    /// they must be simulated. `tapes[i]` belongs to `pool[i]`.
+    #[must_use]
+    pub fn record_tapes(&self, pool: &[TrialFixture]) -> Option<Vec<CostTape>> {
+        self.scenario.replays(&self.campaign).then(|| {
+            pool.into_par_iter()
+                .map(|fixture| {
+                    self.scenario
+                        .record_tape(&self.profile, fixture, self.campaign)
+                })
+                .collect()
+        })
+    }
+
+    /// Runs victim `idx` against the pooled fixtures by full
+    /// simulation — the reference the replayed fleet is tested
+    /// against. The trial seed is the victim's own [`victim_seed`]; the
+    /// layout is `pool[idx % pool.len()]`.
     #[must_use]
     pub fn run_victim_in(&self, pool: &[TrialFixture], idx: u64) -> TrialOutcome {
+        self.run_victim_with(pool, None, idx)
+    }
+
+    /// Runs victim `idx` the way [`Fleet::run`] does: replayed from its
+    /// layout's tape when `tapes` (from [`Fleet::record_tapes`] over
+    /// the same pool) is given, simulated otherwise. Either way the
+    /// outcome equals [`Fleet::run_victim_in`]'s.
+    #[must_use]
+    pub fn run_victim_with(
+        &self,
+        pool: &[TrialFixture],
+        tapes: Option<&[CostTape]>,
+        idx: u64,
+    ) -> TrialOutcome {
         let salt = self.scenario.seed_salt();
         let seed = victim_seed(self.config.campaign_seed, salt, idx);
-        let fixture = &pool[(idx % pool.len() as u64) as usize];
-        self.scenario
-            .run_trial_with(&self.profile, fixture, seed, self.campaign)
+        let layout = (idx % pool.len() as u64) as usize;
+        match tapes {
+            Some(tapes) => self.scenario.replay_trial(
+                &self.profile,
+                &pool[layout],
+                &tapes[layout],
+                seed,
+                self.campaign,
+            ),
+            None => self
+                .scenario
+                .run_trial_with(&self.profile, &pool[layout], seed, self.campaign),
+        }
     }
 
     /// Reruns victim `idx` in complete isolation — rebuilding only its
@@ -598,13 +646,19 @@ impl Fleet {
         )
     }
 
-    /// Streams one shard's victims into a fresh reducer.
+    /// Streams one shard's victims ([`Fleet::run_victim_with`]) into a
+    /// fresh reducer.
     #[must_use]
-    pub fn run_shard(&self, pool: &[TrialFixture], shard: u64) -> FleetReducer {
+    pub fn run_shard(
+        &self,
+        pool: &[TrialFixture],
+        tapes: Option<&[CostTape]>,
+        shard: u64,
+    ) -> FleetReducer {
         let (start, end) = self.shard_range(shard);
         let mut reducer = FleetReducer::new();
         for idx in start..end {
-            reducer.push(&self.run_victim_in(pool, idx));
+            reducer.push(&self.run_victim_with(pool, tapes, idx));
         }
         reducer
     }
@@ -612,7 +666,9 @@ impl Fleet {
     /// Runs the fleet: resumes from the checkpoint when one exists,
     /// executes every still-pending shard (bounded by
     /// [`FleetConfig::max_shards`]) rayon-parallel, checkpoints after
-    /// each shard completion, and returns the merged aggregate.
+    /// each shard completion, and returns the merged aggregate. The
+    /// fixture pool is built, and its cost tapes recorded
+    /// ([`Fleet::record_tapes`]), only when a shard is pending.
     ///
     /// # Errors
     ///
@@ -662,11 +718,17 @@ impl Fleet {
             })
             .sum();
 
-        let pool = self.build_pool();
+        let (pool, tapes) = if pending.is_empty() {
+            (Vec::new(), None)
+        } else {
+            let pool = self.build_pool();
+            let tapes = self.record_tapes(&pool);
+            (pool, tapes)
+        };
         let fingerprint = self.fingerprint();
         let state = Mutex::new((completed, restored, Ok::<(), String>(())));
         pending.into_par_iter().for_each(|shard| {
-            let local = self.run_shard(&pool, shard);
+            let local = self.run_shard(&pool, tapes.as_deref(), shard);
             let mut guard = state.lock().expect("fleet state lock");
             let (completed, aggregate, io_status) = &mut *guard;
             completed[shard as usize] = true;
@@ -801,15 +863,15 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`,
-    /// then rename over `path`, so a kill mid-write never leaves a
-    /// truncated checkpoint behind.
+    /// Writes the checkpoint atomically: serialize to `<path>.tmp`
+    /// (the full file name plus `.tmp`), then rename over `path`, so a
+    /// kill mid-write never leaves a truncated checkpoint behind.
     ///
     /// # Errors
     ///
     /// Returns a message when the temporary write or the rename fails.
     pub fn store(&self, path: &Path) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
+        let tmp = temp_path(path);
         std::fs::write(&tmp, self.to_json())
             .map_err(|e| format!("checkpoint write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, path)
@@ -826,6 +888,16 @@ impl Checkpoint {
             .map_err(|e| format!("checkpoint read {}: {e}", path.display()))?;
         Self::from_json(&src).map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
+}
+
+/// The temporary file [`Checkpoint::store`] writes before renaming:
+/// `.tmp` appended to the whole file name, so it never equals `path`
+/// (`x.tmp` → `x.tmp.tmp`) and checkpoints that differ only in their
+/// extension (`a.json`, `a.ckpt`) never share one.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// Raw token after `"key":` — the digits of a number, or the contents
@@ -990,6 +1062,36 @@ mod tests {
         // Bitmap length disagreeing with the shard count is refused.
         let wrong = good.replace("\"shards\": 1", "\"shards\": 2");
         assert!(Checkpoint::from_json(&wrong).is_err());
+    }
+
+    #[test]
+    fn checkpoint_temp_file_appends_to_the_whole_name() {
+        // A checkpoint named `x.tmp` must not be its own temp file...
+        assert_eq!(
+            temp_path(Path::new("run/x.tmp")),
+            PathBuf::from("run/x.tmp.tmp")
+        );
+        // ...and names that differ only in extension must not share one.
+        assert_ne!(
+            temp_path(Path::new("run/a.json")),
+            temp_path(Path::new("run/a.ckpt"))
+        );
+        assert_eq!(temp_path(Path::new("ck")), PathBuf::from("ck.tmp"));
+
+        let dir = std::env::temp_dir().join(format!("fleet-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let checkpoint = Checkpoint {
+            fingerprint: 9,
+            completed: vec![true, false],
+            reducer: FleetReducer::new(),
+        };
+        for name in ["x.tmp", "a.json", "a.ckpt"] {
+            let path = dir.join(name);
+            checkpoint.store(&path).expect("store");
+            assert_eq!(Checkpoint::load(&path).expect("load"), checkpoint, "{name}");
+            assert!(!temp_path(&path).exists(), "{name}: temp file left behind");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

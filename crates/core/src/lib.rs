@@ -62,6 +62,7 @@ pub mod report;
 pub mod schedule;
 pub mod stats;
 pub mod sweep;
+pub mod tape;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveMinFilter, AdaptiveSampler, Sampling};
 pub use attacks::{
@@ -81,3 +82,4 @@ pub use prober::{ProbeStrategy, Prober, SimProber};
 pub use recal::{DriftMonitor, DriftSignal, RecalConfig, RecalEvent, Recalibrating};
 pub use schedule::ScheduleKind;
 pub use sweep::AddrRange;
+pub use tape::{CostTape, TapeProber, TapeRecorder};

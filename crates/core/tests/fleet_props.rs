@@ -2,18 +2,22 @@
 //! invariant 11): the reducer merge is exact, associative and
 //! commutative; aggregates are invariant to how the population is
 //! sharded; kill-and-resume is bit-identical to an uninterrupted run;
-//! any single victim reruns in isolation to its in-fleet outcome; and
-//! the counters survive million-victim magnitudes without overflow.
+//! any single victim — replayed from its layout's cost tape or fully
+//! simulated — reruns in isolation to its in-fleet outcome (invariant
+//! 15); the counters survive million-victim magnitudes without
+//! overflow; and the checkpoint parser never panics.
 
 use std::path::PathBuf;
+
+use proptest::prelude::*;
 
 use avx_channel::attacks::campaign::{CampaignConfig, Scenario, TrialOutcome};
 use avx_channel::defense::DefenseKind;
 use avx_channel::fleet::{splitmix64, victim_seed, Checkpoint, Fleet, FleetConfig, FleetReducer};
 use avx_channel::schedule::ScheduleKind;
 use avx_channel::stats::Trials;
-use avx_channel::KptiConfidence;
-use avx_uarch::CpuProfile;
+use avx_channel::{CalibratorKind, ConfirmConfig, KptiConfidence, RecalConfig, Sampling};
+use avx_uarch::{CpuProfile, NoiseProfile, ObservablesVersion};
 
 /// A small but real kernel-base fleet: big enough to span several
 /// shards and wrap the fixture pool, small enough to run in tier 1.
@@ -240,33 +244,192 @@ fn checkpoint_recorded_under_a_different_config_is_refused() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The fleet test matrix: every config the fleet replays from cost
+/// tapes, then configs that must keep simulating (closed-loop attacker
+/// or a victim that rewrites its own translations). The last column is
+/// [`outcome_digest`] of victims 0..12 of the 12-victim, 4-layout fleet,
+/// recorded by full simulation before the fleet replayed tapes.
+fn config_matrix() -> Vec<(&'static str, CampaignConfig, bool, u64)> {
+    let d = CampaignConfig::default();
+    vec![
+        ("default", d, true, 0xabb1_e882_30e0_24cd),
+        (
+            "v2",
+            d.with_observables(ObservablesVersion::V2),
+            true,
+            0xbfb8_7235_b250_9f1d,
+        ),
+        (
+            "drift",
+            d.with_noise(NoiseProfile::drift_quiet_to_laptop()),
+            true,
+            0x7406_c7e8_0c56_f1e0,
+        ),
+        (
+            "laptop",
+            d.with_noise(NoiseProfile::LaptopDvfs),
+            true,
+            0x68da_17e3_6c1d_da56,
+        ),
+        (
+            "fixed-budget",
+            d.with_sampling(Sampling::fixed_budget()),
+            true,
+            0x72cf_8238_4e49_b502,
+        ),
+        (
+            "noise-aware",
+            d.with_calibrator(CalibratorKind::NoiseAware),
+            true,
+            0xabb1_e882_30e0_24cd,
+        ),
+        (
+            "adaptive",
+            d.with_sampling(Sampling::adaptive()),
+            false,
+            0xda23_2cd1_f457_5bd1,
+        ),
+        (
+            "confirm",
+            d.with_confirmation(ConfirmConfig::default()),
+            false,
+            0xd57a_2b4b_0dcf_b8e3,
+        ),
+        (
+            "recal",
+            d.with_recalibration(RecalConfig::default()),
+            false,
+            0x30d6_27b8_1f02_2fd6,
+        ),
+        (
+            "masked",
+            d.with_defense(DefenseKind::MaskedTranslation),
+            false,
+            0xcf3a_bd79_6a67_05c5,
+        ),
+        (
+            "module-churn",
+            d.with_schedule(ScheduleKind::ModuleChurn),
+            false,
+            0x7484_863c_32ba_5b52,
+        ),
+    ]
+}
+
+/// Order-sensitive digest of outcomes, `f64`s by bit pattern.
+fn outcome_digest(outcomes: &[TrialOutcome]) -> u64 {
+    let mut h = 0u64;
+    for o in outcomes {
+        for word in [
+            o.probing_seconds.to_bits(),
+            o.total_seconds.to_bits(),
+            o.probes,
+            o.addresses,
+            o.accuracy.successes,
+            o.accuracy.total,
+        ] {
+            h = splitmix64(h ^ word);
+        }
+    }
+    h
+}
+
+fn matrix_fleet(campaign: CampaignConfig, config: FleetConfig) -> Fleet {
+    Fleet::new(
+        Scenario::KernelBase,
+        CpuProfile::alder_lake_i5_12400f(),
+        campaign,
+        config,
+    )
+}
+
+/// Every field of two outcomes is equal, `f64`s by bit pattern. The
+/// exhaustive destructuring makes a new field a compile error here.
+fn assert_same_outcome(a: &TrialOutcome, b: &TrialOutcome, what: &str) {
+    let TrialOutcome {
+        probing_seconds,
+        total_seconds,
+        probes,
+        addresses,
+        accuracy,
+        confidence,
+    } = *a;
+    assert_eq!(
+        probing_seconds.to_bits(),
+        b.probing_seconds.to_bits(),
+        "{what}: probing_seconds"
+    );
+    assert_eq!(
+        total_seconds.to_bits(),
+        b.total_seconds.to_bits(),
+        "{what}: total_seconds"
+    );
+    assert_eq!(probes, b.probes, "{what}: probes");
+    assert_eq!(addresses, b.addresses, "{what}: addresses");
+    assert_eq!(
+        accuracy.successes, b.accuracy.successes,
+        "{what}: accuracy.successes"
+    );
+    assert_eq!(accuracy.total, b.accuracy.total, "{what}: accuracy.total");
+    assert_eq!(confidence, b.confidence, "{what}: confidence");
+}
+
 #[test]
 fn every_victim_reruns_in_isolation_to_its_in_fleet_outcome() {
-    let fleet = small_fleet(FleetConfig::new(12).with_pool(4).with_shards(3));
-    let pool = fleet.build_pool();
+    for (name, campaign, replays, pinned) in config_matrix() {
+        let fleet = matrix_fleet(campaign, FleetConfig::new(12).with_pool(4).with_shards(3));
+        let pool = fleet.build_pool();
+        let tapes = fleet.record_tapes(&pool);
+        assert_eq!(tapes.is_some(), replays, "{name}: replay eligibility");
 
-    // Folding the per-victim outcomes by hand reproduces the fleet
-    // aggregate...
-    let report = fleet.run().expect("fleet run");
-    let mut by_hand = FleetReducer::new();
-    for idx in 0..12 {
-        by_hand.push(&fleet.run_victim_in(&pool, idx));
+        // Folding the per-victim outcomes, run the way the fleet runs
+        // them, reproduces the fleet aggregate...
+        let report = fleet.run().expect("fleet run");
+        let in_fleet: Vec<TrialOutcome> = (0..12)
+            .map(|idx| fleet.run_victim_with(&pool, tapes.as_deref(), idx))
+            .collect();
+        let mut by_hand = FleetReducer::new();
+        for (idx, outcome) in (0..).zip(&in_fleet) {
+            by_hand.push(outcome);
+            // ...and every victim, rerun in complete isolation by full
+            // simulation (its own freshly built fixture), matches its
+            // in-fleet outcome exactly.
+            let isolated = fleet.run_victim(idx);
+            assert_same_outcome(&isolated, outcome, &format!("{name} victim {idx}"));
+        }
+        assert_eq!(by_hand, report.aggregate, "{name}");
+        // Both paths still produce the outcomes recorded before tapes
+        // existed, so they cannot have drifted together.
+        assert_eq!(outcome_digest(&in_fleet), pinned, "{name}: outcome digest");
     }
-    assert_eq!(by_hand, report.aggregate);
+}
 
-    // ...and any single victim, rerun in complete isolation (its own
-    // freshly built fixture), matches its in-fleet outcome exactly.
-    for idx in [0u64, 3, 5, 11] {
-        let in_fleet = fleet.run_victim_in(&pool, idx);
-        let isolated = fleet.run_victim(idx);
-        assert_eq!(isolated.probes, in_fleet.probes, "victim {idx}");
-        assert_eq!(isolated.addresses, in_fleet.addresses, "victim {idx}");
-        assert_eq!(
-            isolated.accuracy.successes, in_fleet.accuracy.successes,
-            "victim {idx}"
-        );
-        assert_eq!(isolated.confidence, in_fleet.confidence, "victim {idx}");
-        assert!((isolated.probing_seconds - in_fleet.probing_seconds).abs() < 1e-15);
+#[test]
+fn fleet_aggregates_match_the_lines_pinned_before_tape_replay() {
+    // Recorded by full simulation, before the fleet replayed tapes.
+    let fleet = small_fleet(FleetConfig::new(256).with_pool(16).with_shards(4));
+    assert_eq!(
+        fleet.run().expect("fleet run").aggregate.to_string(),
+        "victims=256 accuracy=255/256 (99.61%) probes=266496 \
+         probes/victim=1041.00±0.00 [1041..1041] confidence=[0, 0, 0, 0]"
+    );
+    let pinned = [
+        "victims=96 accuracy=96/96 (100.00%) probes=99936",
+        "victims=96 accuracy=96/96 (100.00%) probes=99936",
+        "victims=96 accuracy=32/96 (33.33%) probes=99936",
+        "victims=96 accuracy=27/96 (28.12%) probes=99936",
+        "victims=96 accuracy=96/96 (100.00%) probes=444000",
+        "victims=96 accuracy=96/96 (100.00%) probes=99936",
+        "victims=96 accuracy=96/96 (100.00%) probes=149238",
+        "victims=96 accuracy=96/96 (100.00%) probes=100512",
+        "victims=96 accuracy=96/96 (100.00%) probes=103648",
+        "victims=96 accuracy=0/96 (0.00%) probes=99936",
+        "victims=96 accuracy=96/96 (100.00%) probes=99936",
+    ];
+    for ((name, campaign, _, _), pin) in config_matrix().into_iter().zip(pinned) {
+        let fleet = matrix_fleet(campaign, FleetConfig::new(96).with_pool(8).with_shards(3));
+        let line = fleet.run().expect("fleet run").aggregate.to_string();
+        assert!(line.starts_with(&format!("{pin} ")), "{name}: {line}");
     }
 }
 
@@ -337,4 +500,36 @@ fn counters_survive_million_victim_magnitudes_without_overflow() {
     };
     let back = Checkpoint::from_json(&checkpoint.to_json()).expect("roundtrip");
     assert_eq!(back, checkpoint);
+}
+
+/// A valid checkpoint with every field populated.
+fn sample_checkpoint() -> String {
+    let mut reducer = FleetReducer::new();
+    for i in 0..9 {
+        reducer.push(&synthetic_outcome(i));
+    }
+    Checkpoint {
+        fingerprint: 0x0123_4567_89ab_cdef,
+        completed: vec![true, false, true, true, false],
+        reducer,
+    }
+    .to_json()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Truncated or single-byte-mutated checkpoints are parsed or
+    /// refused, never a panic.
+    #[test]
+    fn checkpoint_parser_never_panics(cut in 0usize..4096, at in 0usize..4096, byte in any::<u8>()) {
+        let valid = sample_checkpoint();
+        prop_assert!(Checkpoint::from_json(&valid).is_ok());
+        let truncated = &valid[..cut % (valid.len() + 1)];
+        let _ = Checkpoint::from_json(truncated);
+        let mut bytes = valid.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = Checkpoint::from_json(&String::from_utf8_lossy(&bytes));
+    }
 }

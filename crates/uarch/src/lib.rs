@@ -49,6 +49,7 @@ pub mod observables;
 pub mod pmc;
 pub mod profile;
 pub mod sched;
+pub mod stream;
 pub mod ziggurat;
 
 pub use defense::{AddressMask, Rerandomizer, VictimDefense};
@@ -61,3 +62,4 @@ pub use observables::ObservablesVersion;
 pub use pmc::{Event, PmcBank, PmcDelta, PmcSnapshot};
 pub use profile::{CpuModel, CpuProfile, TimingParams, Vendor};
 pub use sched::{SchedEvent, SchedRegion, VictimSchedule, DEFAULT_TENANT_WEIGHT};
+pub use stream::{quantize_cycles, NoiseStream};

@@ -13,9 +13,6 @@
 //! * TLB hit vs miss and walk depth modulate latency (P2–P4),
 //! * masked stores run ~16–18 cycles faster than loads under assist (P6).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use avx_mmu::{
     AddressSpace, Level, PagingStructureCache, ShadowIndex, ShadowWalk, Tlb, TlbEntry, TlbLookup,
     VirtAddr, WalkOutcome, Walker,
@@ -30,6 +27,7 @@ use crate::observables::ObservablesVersion;
 use crate::pmc::{Event, PmcBank};
 use crate::profile::CpuProfile;
 use crate::sched::VictimSchedule;
+use crate::stream::{quantize_cycles, NoiseStream};
 
 /// Noise-block length of the v2 batched path: how many consecutive
 /// probes share one precomputed block of noise samples. Pinned equal to
@@ -37,6 +35,11 @@ use crate::sched::VictimSchedule;
 /// `avx-channel`, asserted by a cross-crate test there) so blocks align
 /// with `AddrRange::tiles()` and every sweep engine fills whole blocks.
 pub const NOISE_BLOCK: usize = 16;
+
+/// Footprint of the probe ops built by `MaskedOp::probe_load` /
+/// `probe_store`: 8 dword lanes, so the last lane starts 28 bytes past
+/// the base address.
+const PROBE_LAST_LANE_OFFSET: u64 = 7 * ElemWidth::Dword.bytes();
 
 /// Result of executing one masked operation.
 #[derive(Clone, Debug)]
@@ -143,18 +146,11 @@ pub struct Machine {
     shadow_enabled: bool,
     pmc: PmcBank,
     mem: SparseMemory,
-    noise: NoiseModel,
-    /// Probe-indexed noise trajectory ([`crate::NoiseProfile::Drift`]):
-    /// when set, each executed op draws its noise from
-    /// [`NoiseSchedule::model_at`] instead of the stationary model.
-    schedule: Option<NoiseSchedule>,
-    /// Ops executed so far — the index the schedule interpolates on.
-    probe_seq: u64,
-    /// Which noise-observables regime the machine runs under:
-    /// [`ObservablesVersion::V1`] (default) reproduces the historical
-    /// per-sample Box–Muller stream bit-for-bit; V2 draws the same
-    /// distribution through the batched ziggurat kernel.
-    observables: ObservablesVersion,
+    /// Measurement noise: model, drift trajectory, probe index,
+    /// observables regime and RNG. Translation never touches it, which
+    /// is what lets [`Machine::cost_batch_into`] compute the same costs
+    /// without drawing.
+    noise: NoiseStream,
     /// Victim-side ASLR defenses ([`crate::defense`]). `None` — the
     /// default — is the bit-exact undefended engine: no per-op check
     /// beyond one `Option` discriminant read, no RNG interaction, no
@@ -164,7 +160,6 @@ pub struct Machine {
     /// the default — is the bit-exact open-loop engine: no clock
     /// reads, no per-op work beyond one `Option` discriminant read.
     sched: Option<VictimSchedule>,
-    rng: StdRng,
     tsc: u64,
 }
 
@@ -174,11 +169,7 @@ impl Machine {
     pub fn new(profile: CpuProfile, space: AddressSpace, seed: u64) -> Self {
         let tlb = Tlb::new(profile.tlb);
         let psc = PagingStructureCache::new(profile.psc);
-        let noise = NoiseModel::new(
-            profile.timing.noise_sigma,
-            profile.timing.spike_prob,
-            profile.timing.spike_range,
-        );
+        let noise = NoiseStream::new(&profile.timing, seed);
         Self {
             profile,
             space,
@@ -192,12 +183,8 @@ impl Machine {
             pmc: PmcBank::new(),
             mem: SparseMemory::new(),
             noise,
-            schedule: None,
-            probe_seq: 0,
-            observables: ObservablesVersion::V1,
             defense: None,
             sched: None,
-            rng: StdRng::seed_from_u64(seed),
             tsc: 0,
         }
     }
@@ -247,15 +234,14 @@ impl Machine {
     /// Replaces the noise model (tests use [`NoiseModel::none`]) and
     /// clears any drift schedule: an explicit model is stationary.
     pub fn set_noise(&mut self, noise: NoiseModel) {
-        self.noise = noise;
-        self.schedule = None;
+        self.noise.set_model(noise);
     }
 
     /// The active stationary noise model (for a drifting environment,
     /// the model in effect before the ramp's onset).
     #[must_use]
     pub fn noise(&self) -> NoiseModel {
-        self.noise
+        self.noise.model()
     }
 
     /// Installs (or clears) a probe-indexed noise trajectory. The
@@ -263,26 +249,27 @@ impl Machine {
     /// built victim drifts at the same point of every identically-seeded
     /// attack run.
     pub fn set_noise_schedule(&mut self, schedule: Option<NoiseSchedule>) {
-        self.schedule = schedule;
+        self.noise.set_schedule(schedule);
     }
 
     /// The installed noise trajectory, if the environment drifts.
     #[must_use]
     pub fn noise_schedule(&self) -> Option<NoiseSchedule> {
-        self.schedule
+        self.noise.schedule()
     }
 
-    /// The noise model for the op about to execute, advancing the
-    /// probe-sequence counter. With no schedule this is exactly the
-    /// stationary model — same draws, same RNG stream, bit-exact with
-    /// the pre-drift engine.
-    fn next_noise(&mut self) -> NoiseModel {
-        let model = match &self.schedule {
-            Some(s) => s.model_at(self.probe_seq),
-            None => self.noise,
-        };
-        self.probe_seq += 1;
-        model
+    /// The machine's measurement-noise state. Clone it to measure
+    /// recorded costs exactly as this machine would have
+    /// ([`Machine::cost_batch_into`]).
+    #[must_use]
+    pub fn noise_stream(&self) -> &NoiseStream {
+        &self.noise
+    }
+
+    /// Replaces the whole measurement-noise state — model, drift,
+    /// observables regime and RNG position.
+    pub fn set_noise_stream(&mut self, noise: NoiseStream) {
+        self.noise = noise;
     }
 
     /// Selects the noise-observables regime. V1 (the construction
@@ -291,32 +278,13 @@ impl Machine {
     /// Switching mid-run is supported but changes the stream from that
     /// point on, so campaigns set it once at machine construction.
     pub fn set_observables(&mut self, observables: ObservablesVersion) {
-        self.observables = observables;
+        self.noise.set_observables(observables);
     }
 
     /// The active noise-observables regime.
     #[must_use]
     pub fn observables(&self) -> ObservablesVersion {
-        self.observables
-    }
-
-    /// Applies measurement noise to one op's deterministic cycle cost —
-    /// the single dispatch point between the v1 and v2 regimes for the
-    /// scalar path (the v2 batch path pre-draws whole noise blocks but
-    /// consumes the RNG in the same per-sample order, so scalar and
-    /// batched v2 streams stay bit-identical).
-    fn measure_cycles(&mut self, cycles: f64) -> u64 {
-        match self.observables {
-            ObservablesVersion::V1 => self.next_noise().perturb(&mut self.rng, cycles),
-            ObservablesVersion::V2 => {
-                let model = match &self.schedule {
-                    Some(s) => s.model_at(self.probe_seq),
-                    None => self.noise,
-                };
-                self.probe_seq += 1;
-                (cycles + model.sample_v2(&mut self.rng)).round().max(1.0) as u64
-            }
-        }
+        self.noise.observables()
     }
 
     /// Switches to a named noise environment: the preset's factors are
@@ -341,8 +309,7 @@ impl Machine {
     /// );
     /// ```
     pub fn set_noise_profile(&mut self, profile: crate::noise::NoiseProfile) {
-        self.noise = profile.model_for(&self.profile.timing);
-        self.schedule = profile.schedule_for(&self.profile.timing);
+        self.noise.set_profile(profile, &self.profile.timing);
     }
 
     /// Installs (or removes) the victim-side defense layer. Installing
@@ -591,48 +558,14 @@ impl Machine {
     /// Sweep engines thread one scratch buffer through every tile, so
     /// the steady-state probe loop performs no heap allocation at all.
     pub fn execute_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
-        if self.observables == ObservablesVersion::V2 {
+        if self.noise.observables() == ObservablesVersion::V2 {
             return self.execute_batch_into_v2(kind, addrs, out);
         }
-        let t = self.profile.timing;
-        let (retired_event, walk_event, base) = match kind {
-            OpKind::Load => (
-                Event::MaskedLoadRetired,
-                Event::DtlbLoadWalkCompleted,
-                t.base_load,
-            ),
-            OpKind::Store => (
-                Event::MaskedStoreRetired,
-                Event::DtlbStoreWalkCompleted,
-                t.base_store,
-            ),
-        };
-        // Footprint of the probe ops built by `MaskedOp::probe_load` /
-        // `probe_store`: 8 dword lanes, so the last lane starts 28 bytes
-        // past the base address.
-        let last_lane_offset = 7 * ElemWidth::Dword.bytes();
-
+        self.pmc.add(Self::retired_event(kind), addrs.len() as u64);
         out.reserve(addrs.len());
         for &addr in addrs {
-            self.sched_tick();
-            self.defense_tick();
-            self.pmc.bump(retired_event);
-            let mut acc = OpAccounting::new(base);
-
-            // The zero mask means no lane is unmasked, so `visit_page`
-            // can never report a fault on this path.
-            let first_page = addr.align_down(4096);
-            let last_page = addr.wrapping_add(last_lane_offset).align_down(4096);
-            let _ = self.visit_page(kind, first_page, false, &mut acc, None);
-            if last_page != first_page {
-                let _ = self.visit_page(kind, last_page, false, &mut acc, None);
-            }
-
-            if acc.user_nonpresent && kind == OpKind::Load {
-                acc.cycles += t.user_nonpresent_load_extra;
-            }
-            self.pmc.add(walk_event, u64::from(acc.walks_total));
-            let measured = self.next_noise().perturb(&mut self.rng, acc.cycles);
+            let cost = self.probe_cost(kind, addr);
+            let measured = self.noise.measure(cost);
             self.tsc += measured;
             out.push(measured);
         }
@@ -640,79 +573,105 @@ impl Machine {
 
     /// The v2 batched hot path: probes are processed in
     /// [`NOISE_BLOCK`]-sized chunks, each chunk's noise pre-drawn into
-    /// one stack block by the ziggurat kernel ([`NoiseModel::fill_block`])
+    /// one stack block by the ziggurat kernel ([`NoiseStream::fill_block`])
     /// before the translation loop consumes it. Translation never
     /// touches the RNG, so pre-drawing preserves the per-sample stream:
     /// a v2 batch is bit-identical to the same probes run through the
     /// v2 scalar path (asserted by `execute_batch_matches_scalar_*`).
-    /// Retired-op PMC bumps are aggregated per chunk — batch callers
-    /// have no mid-batch observation point, so the post-batch counter
-    /// values are unchanged.
     fn execute_batch_into_v2(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
-        let t = self.profile.timing;
-        let (retired_event, walk_event, base) = match kind {
-            OpKind::Load => (
-                Event::MaskedLoadRetired,
-                Event::DtlbLoadWalkCompleted,
-                t.base_load,
-            ),
-            OpKind::Store => (
-                Event::MaskedStoreRetired,
-                Event::DtlbStoreWalkCompleted,
-                t.base_store,
-            ),
-        };
-        let last_lane_offset = 7 * ElemWidth::Dword.bytes();
-
+        self.pmc.add(Self::retired_event(kind), addrs.len() as u64);
         out.reserve(addrs.len());
         let mut block = [0.0f64; NOISE_BLOCK];
         for chunk in addrs.chunks(NOISE_BLOCK) {
             let noise = &mut block[..chunk.len()];
-            self.fill_noise_block(noise);
-            self.pmc.add(retired_event, chunk.len() as u64);
-            for (i, &addr) in chunk.iter().enumerate() {
-                self.sched_tick();
-                self.defense_tick();
-                let mut acc = OpAccounting::new(base);
-                let first_page = addr.align_down(4096);
-                let last_page = addr.wrapping_add(last_lane_offset).align_down(4096);
-                let _ = self.visit_page(kind, first_page, false, &mut acc, None);
-                if last_page != first_page {
-                    let _ = self.visit_page(kind, last_page, false, &mut acc, None);
-                }
-
-                if acc.user_nonpresent && kind == OpKind::Load {
-                    acc.cycles += t.user_nonpresent_load_extra;
-                }
-                self.pmc.add(walk_event, u64::from(acc.walks_total));
-                let measured = (acc.cycles + noise[i]).round().max(1.0) as u64;
+            self.noise.fill_block(noise);
+            for (&addr, &n) in chunk.iter().zip(noise.iter()) {
+                let measured = quantize_cycles(self.probe_cost(kind, addr) + n);
                 self.tsc += measured;
                 out.push(measured);
             }
         }
     }
 
-    /// Fills one noise block in per-sample order, advancing the probe
-    /// sequence by the block length. A drifting schedule resolves its
-    /// model per probe index — block boundaries never quantize the
-    /// ramp, so the drift trajectory is identical whether the sweep
-    /// probes scalar or batched (the block-boundary consistency
-    /// property in `noise_props.rs`).
-    fn fill_noise_block(&mut self, out: &mut [f64]) {
-        match self.schedule {
-            None => {
-                let model = self.noise;
-                model.fill_block(&mut self.rng, out);
-            }
-            Some(s) => {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = s
-                        .model_at(self.probe_seq + i as u64)
-                        .sample_v2(&mut self.rng);
-                }
-            }
+    /// The noise-free half of [`Machine::execute_batch_into`]: runs the
+    /// identical translation for every probe — schedule and defense
+    /// ticks, TLB/PSC/PTE-line evolution, performance counters, A-bit
+    /// updates — and appends each probe's deterministic pre-noise cost
+    /// to `out`. Draws no noise and does not advance the clock, so
+    /// measuring the costs through a clone of [`Machine::noise_stream`]
+    /// reproduces `execute_batch_into`'s readings exactly.
+    ///
+    /// ```
+    /// use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
+    /// use avx_uarch::{CpuProfile, Machine, OpKind};
+    ///
+    /// # fn main() -> Result<(), avx_mmu::MmuError> {
+    /// let mut space = AddressSpace::new();
+    /// let kernel = VirtAddr::new(0xffff_ffff_a1e0_0000)?;
+    /// space.map(kernel, PageSize::Size2M, PteFlags::kernel_rx())?;
+    /// let addrs = [kernel, kernel, kernel.wrapping_add(0x20_0000)];
+    ///
+    /// let mut simulated = Machine::new(CpuProfile::alder_lake_i5_12400f(), space.clone(), 5);
+    /// let mut costed = Machine::new(CpuProfile::alder_lake_i5_12400f(), space, 5);
+    /// let mut noise = costed.noise_stream().clone();
+    /// let mut costs = Vec::new();
+    /// costed.cost_batch_into(OpKind::Load, &addrs, &mut costs);
+    /// let mut replayed = Vec::new();
+    /// noise.measure_batch_into(&costs, &mut replayed);
+    /// assert_eq!(replayed, simulated.execute_batch(OpKind::Load, &addrs));
+    /// assert_eq!(costed.elapsed_cycles(), 0, "costing leaves the clock alone");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn cost_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<f64>) {
+        self.pmc.add(Self::retired_event(kind), addrs.len() as u64);
+        out.reserve(addrs.len());
+        for &addr in addrs {
+            let cost = self.probe_cost(kind, addr);
+            out.push(cost);
         }
-        self.probe_seq += out.len() as u64;
+    }
+
+    /// The retired-op counter of a probe kind.
+    fn retired_event(kind: OpKind) -> Event {
+        match kind {
+            OpKind::Load => Event::MaskedLoadRetired,
+            OpKind::Store => Event::MaskedStoreRetired,
+        }
+    }
+
+    /// The per-probe translation body shared by the v1, v2 and cost
+    /// loops: advances the victim schedule and defenses by one op,
+    /// translates the all-zero-mask probe's pages and returns its
+    /// deterministic cycle cost. Retired-op counting is left to the
+    /// loops, which bump it once per batch — batch callers have no
+    /// mid-batch observation point, so the post-batch counters are
+    /// unchanged.
+    #[inline(always)]
+    fn probe_cost(&mut self, kind: OpKind, addr: VirtAddr) -> f64 {
+        self.sched_tick();
+        self.defense_tick();
+        let (walk_event, base) = match kind {
+            OpKind::Load => (Event::DtlbLoadWalkCompleted, self.profile.timing.base_load),
+            OpKind::Store => (
+                Event::DtlbStoreWalkCompleted,
+                self.profile.timing.base_store,
+            ),
+        };
+        let mut acc = OpAccounting::new(base);
+        // The zero mask means no lane is unmasked, so `visit_page` can
+        // never report a fault on this path.
+        let first_page = addr.align_down(4096);
+        let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
+        let _ = self.visit_page(kind, first_page, false, &mut acc, None);
+        if last_page != first_page {
+            let _ = self.visit_page(kind, last_page, false, &mut acc, None);
+        }
+        if acc.user_nonpresent && kind == OpKind::Load {
+            acc.cycles += self.profile.timing.user_nonpresent_load_extra;
+        }
+        self.pmc.add(walk_event, u64::from(acc.walks_total));
+        acc.cycles
     }
 
     /// Translates and accounts one touched page of a masked op — the
@@ -824,7 +783,7 @@ impl Machine {
         if let Some(f) = fault {
             acc.cycles += t.fault_cost;
             self.pmc.bump(Event::PageFault);
-            let measured = self.measure_cycles(acc.cycles);
+            let measured = self.noise.measure(acc.cycles);
             self.tsc += measured;
             return MaskedOutcome {
                 cycles: measured,
@@ -847,7 +806,7 @@ impl Machine {
         // Move the data for unmasked lanes on good pages.
         let data = self.transfer(&op, &ok_pages);
 
-        let measured = self.measure_cycles(acc.cycles);
+        let measured = self.noise.measure(acc.cycles);
         self.tsc += measured;
         MaskedOutcome {
             cycles: measured,

@@ -85,8 +85,7 @@ impl NoiseModel {
 
     /// Applies noise to a deterministic cycle cost, clamping at 1 cycle.
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, cycles: f64) -> u64 {
-        let noisy = cycles + self.sample(rng);
-        noisy.round().max(1.0) as u64
+        crate::stream::quantize_cycles(cycles + self.sample(rng))
     }
 
     /// Draws the magnitude of one spike — the single source of truth
